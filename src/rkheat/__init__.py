@@ -12,10 +12,10 @@ homogeneous side conditions exactly.  A Crank-Nicolson finite-difference
 solver of the same coupled system serves as an independent cross-check.
 """
 
-from .collocation import (BasisFunction, BasisKind, CollocationSystem,
-                          NodeSet, PicardInfo, Solution, SolverConfig,
-                          assemble, error_norms, evaluate, generate_nodes,
-                          solve, solve_picard, standard_kernels)
+from .collocation import (CollocationSystem, NodeSet, PicardInfo, Solution,
+                          SolverConfig, assemble, error_norms, evaluate,
+                          generate_nodes, solve, solve_picard,
+                          standard_kernels)
 from .errors import (GridMismatch, KernelDomainMismatch, NonDifferentiableData,
                      NumericallySingular, OutOfDomain, RKHeatError,
                      SingularConditionSystem, SingularDiscretization,
@@ -25,9 +25,8 @@ from .fd_reference import (FDReferenceSolution, error_vs_exact,
 from .fields import ScalarField
 from .grids import GridField, SpaceTimeGrid
 from .kernels import (Kernel1D, SpaceSpec, TensorKernel, build_kernel,
-                      eval_kernel, kernel_matrix, tensor_eval)
-from .optimality import (ADJOINT, FORWARD, CouplingSpec, OperatorKind,
-                         OperatorSpec, apply_operator, recover_control,
+                      kernel_matrix)
+from .optimality import (ADJOINT, FORWARD, apply_operator, recover_control,
                          residual_adjoint, residual_forward)
 from .problems import (ControlProblem, ExactSolution, HomogenizedProblem,
                        builtin_example, check_exact_consistency,
@@ -38,8 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # kernels
-    "SpaceSpec", "Kernel1D", "TensorKernel", "build_kernel", "eval_kernel",
-    "kernel_matrix", "tensor_eval",
+    "SpaceSpec", "Kernel1D", "TensorKernel", "build_kernel", "kernel_matrix",
     # fields and grids
     "ScalarField", "GridField", "SpaceTimeGrid",
     # problems
@@ -47,12 +45,10 @@ __all__ = [
     "builtin_example", "derive_yd", "homogenize", "cost_functional",
     "check_exact_consistency",
     # optimality system
-    "OperatorKind", "OperatorSpec", "FORWARD", "ADJOINT", "CouplingSpec",
-    "apply_operator", "recover_control", "residual_forward",
-    "residual_adjoint",
+    "FORWARD", "ADJOINT", "apply_operator", "recover_control",
+    "residual_forward", "residual_adjoint",
     # collocation solver
-    "NodeSet", "BasisKind", "BasisFunction", "CollocationSystem",
-    "SolverConfig", "PicardInfo", "Solution", "standard_kernels",
+    "NodeSet", "CollocationSystem", "SolverConfig", "PicardInfo", "Solution", "standard_kernels",
     "generate_nodes", "assemble", "solve", "solve_picard", "evaluate",
     "error_norms",
     # finite-difference reference

@@ -11,8 +11,7 @@ key=value file (--config); explicit flags override file entries.  Output is
 deterministic: rerunning a command with the same configuration reproduces
 the CSV files byte for byte.  Exit codes: 0 success, 2 usage or
 configuration error, 3 numerical failure; failures print a single JSON line
-on stderr.  The environment variable RKHS_SEED is reserved for future
-randomized node layouts and is only echoed, never used.
+on stderr.
 """
 
 from __future__ import annotations
@@ -34,13 +33,11 @@ from .errors import (GridMismatch, KernelDomainMismatch, NonDifferentiableData,
                      NumericallySingular, OutOfDomain, SingularConditionSystem,
                      SingularDiscretization, UnknownExample)
 from .fd_reference import error_vs_exact, solve_coupled_fd
-from .grids import GridField, SpaceTimeGrid
+from .grids import GridField, SpaceTimeGrid, trapezoid_2d
 from .optimality import residual_adjoint, residual_forward
 from .problems import builtin_example, cost_functional, homogenize
 
 __all__ = ["RunConfig", "main"]
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 PROSE_SLICE_TIMES = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 CAPTION_SLICE_TIMES = (0.0, 0.2, 0.5, 0.7, 0.9, 1.0)
@@ -173,9 +170,6 @@ def _resolve_config(args) -> RunConfig:
 def _config_echo(cfg: RunConfig) -> dict:
     echo = dataclasses.asdict(cfg)
     echo["eval_grid"] = list(cfg.eval_grid)
-    seed = os.environ.get("RKHS_SEED")
-    if seed is not None:
-        echo["rkhs_seed"] = seed
     return echo
 
 
@@ -278,7 +272,7 @@ def cmd_solve(args) -> int:
     X, Tt = np.meshgrid(xs, ts)
     Eu = U - np.asarray(exact.u_exact(X, Tt), dtype=float)
     norms["linf_u"] = float(np.abs(Eu).max())
-    norms["l2_u"] = float(np.sqrt(_trapz(_trapz(Eu ** 2, xs, axis=1), ts)))
+    norms["l2_u"] = float(np.sqrt(trapezoid_2d(Eu ** 2, xs, ts)))
 
     report = {
         "config": _config_echo(cfg),

@@ -17,10 +17,10 @@ to the left-hand side, giving one 2n x 2n block system
     [ L1 psi_j1   -(1/nu) psi_j2 ] [b1]   [ G1 at nodes        ]
     [   psi_j1      L2 psi_j2    ] [b2] = [ (y_d - y_hat) nodes ].
 
-With k_S, k_T, k_T' the spatial and the two temporal 1-D kernels and
-S_ab = d_x^a d_r^b k_S(x_i, x_j) etc., the blocks expand into Hadamard
-combinations like L1 psi_j1 = S00*T11 - S02*T10 - S20*T01 + S22*T00, so
-assembly reduces to a handful of 1-D kernel derivative matrices.  All
+Every 1-D factor of psi_j depends only on the node's x or t coordinate,
+so each block, each point value and each grid of values is a sum of
+products of small 1-D kernel derivative matrices on the node set's
+distinct coordinates; _TrialSpace builds them, one per field.  All
 second-argument derivatives are exact (implicit differentiation in the
 kernel module); no finite differences enter the matrix.
 """
@@ -30,20 +30,19 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
 from .errors import KernelDomainMismatch, NumericallySingular, OutOfDomain
 from .fields import ScalarField
+from .grids import trapezoid_2d
 from .kernels import SpaceSpec, TensorKernel, build_kernel, kernel_matrix
+from .optimality import ADJOINT, FORWARD
 from .problems import ExactSolution, HomogenizedProblem
 
 __all__ = [
     "NodeSet",
-    "BasisKind",
-    "BasisFunction",
     "CollocationSystem",
     "SolverConfig",
     "PicardInfo",
@@ -57,7 +56,10 @@ __all__ = [
     "error_norms",
 ]
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+# operators as (coef, dx, dt) terms: sum coef * d_x^dx d_t^dt
+L1 = ((FORWARD, 0, 1), (1.0, 2, 0))
+L2 = ((ADJOINT, 0, 1), (1.0, 2, 0))
+IDENTITY = ((1.0, 0, 0),)
 
 
 @dataclass(frozen=True)
@@ -94,43 +96,6 @@ def generate_nodes(n_x: int, n_t: int, domain) -> NodeSet:
     return NodeSet(nodes=nodes, generation=gen)
 
 
-class BasisKind(Enum):
-    STATE = "state"
-    ADJOINT = "adjoint"
-
-
-@dataclass(frozen=True)
-class BasisFunction:
-    """Single trial function psi_j, the operator image of a kernel section.
-
-    STATE uses L1 and the state-space kernel; ADJOINT uses L2 and the
-    adjoint-space kernel.  evaluate() returns d^dx d^dt psi_j(x, t).
-    """
-
-    center: tuple[float, float]
-    which: BasisKind
-    kernel: TensorKernel
-
-    def evaluate(self, x, t, dx=0, dt=0):
-        xj, tj = self.center
-        S = self.kernel.spatial
-        Tk = self.kernel.temporal
-        s0 = S.eval(x, xj, dx=dx, dy=0)
-        s2 = S.eval(x, xj, dx=dx, dy=2)
-        t1 = Tk.eval(t, tj, dx=dt, dy=1)
-        t0 = Tk.eval(t, tj, dx=dt, dy=0)
-        if self.which is BasisKind.STATE:
-            # L1 = -d/ds + d^2/dr^2 applied to the second argument
-            return -s0 * t1 + s2 * t0
-        return s0 * t1 + s2 * t0
-
-    def apply_own_operator(self, x, t):
-        """L1 psi (STATE) or L2 psi (ADJOINT) at (x, t)."""
-        sign = -1.0 if self.which is BasisKind.STATE else 1.0
-        return (sign * self.evaluate(x, t, dx=0, dt=1)
-                + self.evaluate(x, t, dx=2, dt=0))
-
-
 @dataclass
 class CollocationSystem:
     """Dense block system A b = C for the coupled pair."""
@@ -150,13 +115,10 @@ class SolverConfig:
     (A^T A + lambda ||A||_F^2 I) b = A^T C."""
 
     ridge_lambda: float = 0.0
-    pivot: str = "partial"
 
     def __post_init__(self):
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be >= 0")
-        if self.pivot != "partial":
-            raise ValueError("only partial pivoting is implemented")
 
 
 @dataclass(frozen=True)
@@ -181,25 +143,83 @@ def standard_kernels(interval, horizon):
     return TensorKernel(spatial, state_t), TensorKernel(spatial, adjoint_t)
 
 
-def _coordinate_matrices(kernel, coords):
-    """S00, S02, S20, S22 on the distinct coordinate list.
+def _kernel_columns(kernel, xs, coords, dx, dy):
+    """kernel_matrix(kernel, xs, coords, dx, dy).
 
-    Pure second-argument derivatives come from symmetry (S02 = S20^T on a
-    shared coordinate list); only the mixed (2,2) block needs the
-    second-argument derivative chain.
+    On the coordinates themselves (assembly) a second-argument derivative
+    is the transpose of a first-argument one, by symmetry of the kernel,
+    so A has one fixed rounding: cond(A) ~1e13 amplifies its last bits.
     """
-    m00 = kernel_matrix(kernel, coords, coords, 0, 0)
-    m20 = kernel_matrix(kernel, coords, coords, 2, 0)
-    m22 = kernel_matrix(kernel, coords, coords, 2, 2)
-    return m00, m20.T, m20, m22
+    if xs is coords and dy > dx:
+        return kernel_matrix(kernel, coords, coords, dy, dx).T
+    return kernel_matrix(kernel, xs, coords, dx, dy)
 
 
-def _temporal_matrices(kernel, coords):
-    """T00, T01, T10, T11 on the distinct coordinate list."""
-    t00 = kernel_matrix(kernel, coords, coords, 0, 0)
-    t10 = kernel_matrix(kernel, coords, coords, 1, 0)
-    t11 = kernel_matrix(kernel, coords, coords, 1, 1)
-    return t00, t10.T, t10, t11
+class _TrialSpace:
+    """Derivatives of one field's trial functions psi_j on one node set.
+
+    sign is the time sign of the field's operator (FORWARD for the state,
+    ADJOINT for the adjoint).  The node set's distinct x and t coordinates
+    ux, ut carry the 1-D kernel columns; the inverse indices ix, it map
+    each node back to them.  Operators are tuples of (coef, dx, dt) terms.
+    """
+
+    def __init__(self, kernel: TensorKernel, sign: float, nodes: NodeSet):
+        self.kernel, self.sign = kernel, sign
+        self.ux, self.ix = np.unique(nodes.nodes[:, 0], return_inverse=True)
+        self.ut, self.it = np.unique(nodes.nodes[:, 1], return_inverse=True)
+
+    def _factors(self, xs, ts, op):
+        """1-D factor pairs (S, T) of op applied to the trial functions.
+
+        Rows of S belong to xs and rows of T to ts, columns to the distinct
+        coordinates ux and ut, and
+
+            op psi_j(xs[p], ts[q]) = sum over pairs of S[p, ix[j]] T[q, it[j]].
+
+        With S_ab, T_ab the derivatives d^a in the first and d^b in the
+        second argument of the spatial and temporal kernels,
+
+            d_x^dx d_t^dt psi_j = sign S_dx,0 T_dt,1 + S_dx,2 T_dt,0.
+        """
+        S, T = self.kernel.spatial, self.kernel.temporal
+        for coef, dx, dt in op:
+            for c, sy, ty in ((coef * self.sign, 0, 1), (coef, 2, 0)):
+                yield (c * _kernel_columns(S, xs, self.ux, dx, sy),
+                       _kernel_columns(T, ts, self.ut, dt, ty))
+
+    def assemble(self, op, out):
+        """out[i, j] += op psi_j at node i, gathered from the 1-D factors."""
+        sx, st = np.ix_(self.ix, self.ix), np.ix_(self.it, self.it)
+        for S, T in self._factors(self.ux, self.ut, op):
+            block = S[sx]
+            block *= T[st]
+            out += block
+
+    def _coefficient_grid(self, b):
+        """Coefficients scattered to B[t-coordinate, x-coordinate]."""
+        B = np.zeros((len(self.ut), len(self.ux)))
+        B[self.it, self.ix] = b
+        return B
+
+    def points(self, b, X, T, dx=0, dt=0):
+        """sum_j b_j d^dx d^dt psi_j at the points (X, T) of equal shape."""
+        B = self._coefficient_grid(b)
+        Xf = np.asarray(X, dtype=float).ravel()
+        Tf = np.asarray(T, dtype=float).ravel()
+        vals = sum(((Tm @ B) * Sm).sum(axis=1)
+                   for Sm, Tm in self._factors(Xf, Tf, ((1.0, dx, dt),)))
+        return vals.reshape(np.shape(X)) if np.shape(X) else float(vals[0])
+
+    def grid(self, b, xs, ts):
+        """sum_j b_j psi_j on the tensor grid, t-major (len(ts), len(xs))."""
+        B = self._coefficient_grid(b)
+        return sum(Tm @ B @ Sm.T for Sm, Tm in self._factors(xs, ts, IDENTITY))
+
+
+def _trial_spaces(kernels, nodes: NodeSet):
+    K1, K2 = kernels
+    return _TrialSpace(K1, FORWARD, nodes), _TrialSpace(K2, ADJOINT, nodes)
 
 
 def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSystem:
@@ -211,32 +231,22 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
     if K1.spatial.spec != K2.spatial.spec:
         raise KernelDomainMismatch("state and adjoint kernels use different spatial spaces")
 
+    n = len(nodes)
+    state, adjoint = _trial_spaces(kernels, nodes)
+    A = np.zeros((2 * n, 2 * n))
+    state.assemble(L1, A[:n, :n])
+    adjoint.assemble(IDENTITY, A[:n, n:])
+    # -(1/nu) psi_j2, scaled once after the sum rather than per 1-D factor:
+    # at cond ~1e13 a last-bit change in A moves b by ~1e-8
+    A[:n, n:] *= -1.0 / base.nu
+    state.assemble(IDENTITY, A[n:, :n])
+    adjoint.assemble(L2, A[n:, n:])
+
     xn = nodes.nodes[:, 0]
     tn = nodes.nodes[:, 1]
-    ux, ix = np.unique(xn, return_inverse=True)
-    ut, it = np.unique(tn, return_inverse=True)
-
-    S00u, S02u, S20u, S22u = _coordinate_matrices(K1.spatial, ux)
-    T00u, T01u, T10u, T11u = _temporal_matrices(K1.temporal, ut)
-    P00u, P01u, P10u, P11u = _temporal_matrices(K2.temporal, ut)
-
-    sx = np.ix_(ix, ix)
-    st = np.ix_(it, it)
-    S00, S02, S20, S22 = S00u[sx], S02u[sx], S20u[sx], S22u[sx]
-    T00, T01, T10, T11 = T00u[st], T01u[st], T10u[st], T11u[st]
-    P00, P01, P10, P11 = P00u[st], P01u[st], P10u[st], P11u[st]
-
-    nu = base.nu
-    A11 = S00 * T11 - S02 * T10 - S20 * T01 + S22 * T00
-    A12 = -(1.0 / nu) * (S00 * P01 + S02 * P00)
-    A21 = -S00 * T01 + S02 * T00
-    A22 = S00 * P11 + S02 * P10 + S20 * P01 + S22 * P00
-    A = np.block([[A11, A12], [A21, A22]])
-
     g1 = np.asarray(hom.G1(xn, tn), dtype=float)
     rhs2 = (np.asarray(base.y_d(xn, tn), dtype=float)
-            - np.asarray(hom.y_hat(xn, tn), dtype=float)
-            + np.asarray(hom.G2(xn, tn), dtype=float))
+            - np.asarray(hom.y_hat(xn, tn), dtype=float))
     C = np.concatenate([np.broadcast_to(g1, xn.shape),
                         np.broadcast_to(rhs2, xn.shape)])
     return CollocationSystem(A=A, C=C, node_set=nodes, kernels=(K1, K2), hom=hom)
@@ -351,36 +361,8 @@ class Solution:
     hom: HomogenizedProblem
     info: dict
 
-    # -- low-level series evaluation ------------------------------------
-
-    def _series(self, which: BasisKind, X, T, dx=0, dt=0):
-        """sum_j b_j d^dx d^dt psi_j at flattened points (X, T)."""
-        K = self.kernels[0] if which is BasisKind.STATE else self.kernels[1]
-        b = self.b1 if which is BasisKind.STATE else self.b2
-        sign = -1.0 if which is BasisKind.STATE else 1.0
-        xn = self.node_set.nodes[:, 0]
-        tn = self.node_set.nodes[:, 1]
-        Xf = np.asarray(X, dtype=float).ravel()
-        Tf = np.asarray(T, dtype=float).ravel()
-        S0 = kernel_matrix(K.spatial, Xf, xn, dx, 0)
-        S2 = kernel_matrix(K.spatial, Xf, xn, dx, 2)
-        T1 = kernel_matrix(K.temporal, Tf, tn, dt, 1)
-        T0 = kernel_matrix(K.temporal, Tf, tn, dt, 0)
-        vals = (sign * S0 * T1 + S2 * T0) @ b
-        return vals.reshape(np.shape(X)) if np.shape(X) else float(vals[0])
-
-    def _series_grid(self, which: BasisKind, xs, ts, dx=0, dt=0):
-        """Tensor-grid evaluation, t-major output of shape (len(ts), len(xs))."""
-        K = self.kernels[0] if which is BasisKind.STATE else self.kernels[1]
-        b = self.b1 if which is BasisKind.STATE else self.b2
-        sign = -1.0 if which is BasisKind.STATE else 1.0
-        xn = self.node_set.nodes[:, 0]
-        tn = self.node_set.nodes[:, 1]
-        S0 = kernel_matrix(K.spatial, xs, xn, dx, 0)
-        S2 = kernel_matrix(K.spatial, xs, xn, dx, 2)
-        T1 = kernel_matrix(K.temporal, ts, tn, dt, 1)
-        T0 = kernel_matrix(K.temporal, ts, tn, dt, 0)
-        return sign * (T1 * b) @ S0.T + (T0 * b) @ S2.T
+    def __post_init__(self):
+        self._spaces = _trial_spaces(self.kernels, self.node_set)
 
     def _check_domain(self, x, t):
         (a, b), T = self.hom.base.interval, self.hom.base.T
@@ -398,33 +380,31 @@ class Solution:
         """(y_total, p, u) arrays on the tensor grid, t-major."""
         self._check_domain(xs, ts)
         X, T = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
-        y_h = self._series_grid(BasisKind.STATE, xs, ts)
-        p = self._series_grid(BasisKind.ADJOINT, xs, ts)
+        y_h = self._spaces[0].grid(self.b1, xs, ts)
+        p = self._spaces[1].grid(self.b2, xs, ts)
         y_tot = y_h + np.asarray(self.hom.y_hat(X, T), dtype=float)
         return y_tot, p, p / self.hom.base.nu
 
+    def _field(self, space, b) -> ScalarField:
+        return ScalarField(
+            lambda x, t: space.points(b, x, t),
+            partials={(dx, dt): (lambda x, t, dx=dx, dt=dt: space.points(b, x, t, dx, dt))
+                      for dx in range(3) for dt in range(2) if (dx, dt) != (0, 0)})
+
     def y_field(self) -> ScalarField:
         """Homogenized state as a field with analytic derivatives."""
-        return ScalarField(
-            lambda x, t: self._series(BasisKind.STATE, x, t),
-            partials={(dx, dt): (lambda x, t, dx=dx, dt=dt:
-                                 self._series(BasisKind.STATE, x, t, dx, dt))
-                      for dx in range(3) for dt in range(2) if (dx, dt) != (0, 0)})
+        return self._field(self._spaces[0], self.b1)
 
     def p_field(self) -> ScalarField:
         """Adjoint as a field with analytic derivatives."""
-        return ScalarField(
-            lambda x, t: self._series(BasisKind.ADJOINT, x, t),
-            partials={(dx, dt): (lambda x, t, dx=dx, dt=dt:
-                                 self._series(BasisKind.ADJOINT, x, t, dx, dt))
-                      for dx in range(3) for dt in range(2) if (dx, dt) != (0, 0)})
+        return self._field(self._spaces[1], self.b2)
 
 
 def evaluate(sol: Solution, x: float, t: float):
     """(y_total, p, u) at a single point of the closed rectangle."""
     sol._check_domain(x, t)
-    y_h = sol._series(BasisKind.STATE, x, t)
-    p = sol._series(BasisKind.ADJOINT, x, t)
+    y_h = sol._spaces[0].points(sol.b1, x, t)
+    p = sol._spaces[1].points(sol.b2, x, t)
     y_tot = y_h + float(np.asarray(sol.hom.y_hat(x, t), dtype=float))
     return y_tot, p, p / sol.hom.base.nu
 
@@ -446,13 +426,9 @@ def error_norms(sol, exact: ExactSolution, eval_grid=(101, 101)) -> dict:
     X, Tt = np.meshgrid(xs, ts)
     Ey = Y - np.asarray(exact.y_exact(X, Tt), dtype=float)
     Ep = P - np.asarray(exact.p_exact(X, Tt), dtype=float)
-
-    def l2(E):
-        return float(np.sqrt(_trapz(_trapz(E ** 2, xs, axis=1), ts)))
-
     return {
         "linf_y": float(np.abs(Ey).max()),
-        "l2_y": l2(Ey),
+        "l2_y": float(np.sqrt(trapezoid_2d(Ey ** 2, xs, ts))),
         "linf_p": float(np.abs(Ep).max()),
-        "l2_p": l2(Ep),
+        "l2_p": float(np.sqrt(trapezoid_2d(Ep ** 2, xs, ts))),
     }

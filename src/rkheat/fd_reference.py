@@ -18,7 +18,7 @@ import scipy.sparse.linalg
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import SingularDiscretization
-from .grids import GridField, SpaceTimeGrid
+from .grids import GridField, SpaceTimeGrid, trapezoid_2d
 from .problems import ControlProblem, ExactSolution
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "error_vs_exact",
     "self_convergence",
 ]
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ def error_vs_exact(field: GridField, exact_field) -> dict:
     grid = field.grid
     X, T = np.meshgrid(grid.xs, grid.ts)
     err = field.values - np.asarray(exact_field(X, T), dtype=float)
-    l2 = float(np.sqrt(_trapz(_trapz(err ** 2, grid.xs, axis=1), grid.ts)))
+    l2 = float(np.sqrt(trapezoid_2d(err ** 2, grid.xs, grid.ts)))
     return {"linf": float(np.abs(err).max()), "l2": l2}
 
 

@@ -42,9 +42,7 @@ __all__ = [
     "Kernel1D",
     "TensorKernel",
     "build_kernel",
-    "eval_kernel",
     "kernel_matrix",
-    "tensor_eval",
 ]
 
 
@@ -270,11 +268,6 @@ def build_kernel(spec: SpaceSpec) -> Kernel1D:
     return kernel
 
 
-def eval_kernel(kernel: Kernel1D, x, y, dx=0, dy=0):
-    """Functional form of Kernel1D.eval."""
-    return kernel.eval(x, y, dx=dx, dy=dy)
-
-
 def kernel_matrix(kernel: Kernel1D, xs, ys, dx=0, dy=0) -> np.ndarray:
     """Matrix [d^dx d^dy k(xs[i], ys[j])] built column by column.
 
@@ -307,13 +300,3 @@ class TensorKernel:
             raise KernelDomainMismatch(
                 f"kernel built for {self.rectangle}, problem uses "
                 f"{interval} x (0, {horizon})")
-
-
-def tensor_eval(K: TensorKernel, point, center, dx=0, dt=0):
-    """d^dx/dx^dx d^dt/dt^dt [k_spatial(x, r) * k_temporal(t, s)].
-
-    point = (x, t) may carry derivatives; center = (r, s) does not.
-    """
-    x, t = point
-    r, s = center
-    return K.spatial.eval(x, r, dx=dx) * K.temporal.eval(t, s, dx=dt)

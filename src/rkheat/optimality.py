@@ -3,7 +3,7 @@
 Minimizing J subject to the state equation couples two parabolic problems:
 
     forward:  L1 y = (1/nu) p + G1,    L1 = -d/dt + d^2/dx^2,
-    adjoint:  L2 p = y_d - (y + y_hat) + G2,    L2 = +d/dt + d^2/dx^2,
+    adjoint:  L2 p = y_d - (y + y_hat),    L2 = +d/dt + d^2/dx^2,
 
 together with the gradient equation nu*u - p = 0.  This module applies the
 operators to differentiable fields, recovers the control from the adjoint,
@@ -12,9 +12,6 @@ and evaluates pointwise residuals of both equations for any candidate pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .errors import OutOfDomain
@@ -22,48 +19,18 @@ from .fields import ScalarField
 from .problems import HomogenizedProblem
 
 __all__ = [
-    "OperatorKind",
-    "OperatorSpec",
-    "CouplingSpec",
+    "FORWARD",
+    "ADJOINT",
     "apply_operator",
     "recover_control",
     "residual_forward",
     "residual_adjoint",
 ]
 
-
-class OperatorKind(Enum):
-    FORWARD = "forward"
-    ADJOINT = "adjoint"
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Parabolic operator -d/dt + Laplacian (forward) or +d/dt + Laplacian
-    (adjoint); the two differ only in the sign of the time derivative."""
-
-    kind: OperatorKind
-
-    @property
-    def time_sign(self) -> float:
-        return -1.0 if self.kind is OperatorKind.FORWARD else 1.0
-
-
-FORWARD = OperatorSpec(OperatorKind.FORWARD)
-ADJOINT = OperatorSpec(OperatorKind.ADJOINT)
-
-
-@dataclass(frozen=True)
-class CouplingSpec:
-    """Right-hand-side couplings F1 = (1/nu) p and F2 = y_d - (y + y_hat)."""
-
-    nu: float
-    y_hat: object
-    y_d: object
-
-    def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("need nu > 0")
+# The parabolic operators -d/dt + d^2/dx^2 (forward) and +d/dt + d^2/dx^2
+# (adjoint) differ only in the sign of the time derivative.
+FORWARD = -1.0
+ADJOINT = 1.0
 
 
 def _as_field(field) -> ScalarField:
@@ -81,8 +48,8 @@ def _check_interior(point, domain):
         raise OutOfDomain(f"point not interior to ({a},{b}) x (0,{T})")
 
 
-def apply_operator(op: OperatorSpec, field, point, domain=None):
-    """(-+ d/dt + d^2/dx^2) field at point = (x, t).
+def apply_operator(op: float, field, point, domain=None):
+    """(op d/dt + d^2/dx^2) field at point = (x, t), op FORWARD or ADJOINT.
 
     field is a ScalarField or a plain callable f(x, t); plain callables get
     finite-difference derivatives.  domain, when given as ((a, b), T),
@@ -92,7 +59,7 @@ def apply_operator(op: OperatorSpec, field, point, domain=None):
         _check_interior(point, domain)
     f = _as_field(field)
     x, t = point
-    return op.time_sign * f.partial(x, t, 0, 1) + f.partial(x, t, 2, 0)
+    return op * f.partial(x, t, 0, 1) + f.partial(x, t, 2, 0)
 
 
 def recover_control(p, nu: float):
@@ -115,13 +82,12 @@ def residual_forward(y, p, hom: HomogenizedProblem, point):
 
 
 def residual_adjoint(y, p, hom: HomogenizedProblem, point):
-    """L2 p - (y_d - (y + y_hat) + G2) at point."""
+    """L2 p - (y_d - (y + y_hat)) at point."""
     base = hom.base
     _check_interior(point, (base.interval, base.T))
     x, t = point
     lhs = apply_operator(ADJOINT, p, point)
     yf = _as_field(y)
     rhs = (np.asarray(base.y_d(x, t), dtype=float)
-           - (yf(x, t) + np.asarray(hom.y_hat(x, t), dtype=float))
-           + np.asarray(hom.G2(x, t), dtype=float))
+           - (yf(x, t) + np.asarray(hom.y_hat(x, t), dtype=float)))
     return lhs - rhs

@@ -19,7 +19,6 @@ margin.  check_exact_consistency reports the defect instead of hiding it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import GridMismatch, UnknownExample
 from .fields import ScalarField, fd_derivative_1d, require_differentiable_1d
-from .grids import GridField
+from .grids import GridField, trapezoid_2d
 
 __all__ = [
     "ControlProblem",
@@ -40,8 +39,6 @@ __all__ = [
     "cost_functional",
     "check_exact_consistency",
 ]
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -92,14 +89,13 @@ class HomogenizedProblem:
 
     Y interpolates the boundary traces linearly in x, y_hat shifts the
     state so the remaining unknown has zero boundary and initial data, and
-    G1 collects the forcing the shift produces.  G2 is always zero here.
+    G1 collects the forcing the shift produces.
     """
 
     base: ControlProblem
     Y: object
     y_hat: object
     G1: object
-    G2: object
 
 
 def homogenize(problem: ControlProblem) -> HomogenizedProblem:
@@ -132,16 +128,7 @@ def homogenize(problem: ControlProblem) -> HomogenizedProblem:
         ddy0 = fd_derivative_1d(y0, x, 2, hx)
         return wa(x) * dh1 + wb(x) * dh2 - ddy0
 
-    def G2(x, t):
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t))) \
-            if (np.shape(x) or np.shape(t)) else 0.0
-
-    return HomogenizedProblem(base=problem, Y=Y, y_hat=y_hat, G1=G1, G2=G2)
-
-
-def _zero(x, t):
-    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t))) \
-        if (np.shape(x) or np.shape(t)) else 0.0
+    return HomogenizedProblem(base=problem, Y=Y, y_hat=y_hat, G1=G1)
 
 
 def _zero_data_problem(nu, y_d):
@@ -272,13 +259,10 @@ def builtin_example(example_id: int, nu: float = 1e-6):
     y, p = _example_fields(example_id, nu)
     exact = ExactSolution(y_exact=y, p_exact=p,
                           u_exact=lambda x, t: p(x, t) / nu)
-    base = _zero_data_problem(nu, y_d=_zero)
-    y_d = derive_yd(exact, base)
-    problem = dataclasses.replace(base, y_d=y_d)
-    return problem, exact
+    return _zero_data_problem(nu, y_d=derive_yd(exact)), exact
 
 
-def derive_yd(exact: ExactSolution, problem: ControlProblem):
+def derive_yd(exact: ExactSolution):
     """Target data consistent with the adjoint equation:
     y_d = p_t + p_xx + y.
 
@@ -301,11 +285,7 @@ def cost_functional(y: GridField, u: GridField, problem: ControlProblem) -> floa
     X, T = np.meshgrid(xs, ts)
     track = (y.values - np.asarray(problem.y_d(X, T), dtype=float)) ** 2
     penal = u.values ** 2
-
-    def iint(W):
-        return _trapz(_trapz(W, xs, axis=1), ts)
-
-    return 0.5 * iint(track) + 0.5 * problem.nu * iint(penal)
+    return 0.5 * trapezoid_2d(track, xs, ts) + 0.5 * problem.nu * trapezoid_2d(penal, xs, ts)
 
 
 def check_exact_consistency(exact: ExactSolution, problem: ControlProblem,

@@ -41,6 +41,19 @@ def ex1_solution_8(ex1_case, unit_kernels):
     return rk.solve(system), system
 
 
+def node_layout(kind, n):
+    """n x n nodes on the unit square: the midpoint grid ("grid"), or one
+    seeded uniform point in the middle half of each of its cells
+    ("jittered"), so that no two nodes share a coordinate."""
+    if kind == "grid":
+        return rk.generate_nodes(n, n, UNIT)
+    rng = np.random.default_rng(n)
+    ix, it = np.meshgrid(np.arange(n), np.arange(n))
+    jitter = rng.uniform(0.25, 0.75, size=(2, n * n))
+    nodes = np.column_stack([(ix.ravel() + jitter[0]) / n, (it.ravel() + jitter[1]) / n])
+    return rk.NodeSet(nodes=nodes, generation={"kind": "jittered", "n": n})
+
+
 def solve_example(example_id, nu, n_x, n_t, kernels=None, mode="direct", **kw):
     problem, exact = rk.builtin_example(example_id, nu=nu)
     hom = rk.homogenize(problem)

@@ -10,12 +10,21 @@ and the tensor space inner product is the product-rule expansion of the
 two 1-D forms: boundary x boundary, boundary x integral, integral x
 boundary and integral x integral terms.  Everything here is polynomial,
 so 24-point panels are exact to machine precision.
+
+BasisFunction and tensor_eval evaluate one trial function and one tensor
+kernel value point by point, as references for the factored evaluation in
+the collocation module.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from enum import Enum
+
 import numpy as np
 import scipy.linalg
+
+from rkheat.kernels import TensorKernel
 
 GAUSS_N = 24
 
@@ -117,3 +126,50 @@ def rank_one_field(fx, gt):
         qt = gt.deriv(j) if j else gt
         return lambda x, t: qx(np.asarray(x, dtype=float)) * qt(np.asarray(t, dtype=float))
     return u_dxdt
+
+
+def tensor_eval(K: TensorKernel, point, center, dx=0, dt=0):
+    """d^dx/dx^dx d^dt/dt^dt [k_spatial(x, r) * k_temporal(t, s)].
+
+    point = (x, t) may carry derivatives; center = (r, s) does not.
+    """
+    x, t = point
+    r, s = center
+    return K.spatial.eval(x, r, dx=dx) * K.temporal.eval(t, s, dx=dt)
+
+
+class BasisKind(Enum):
+    STATE = "state"
+    ADJOINT = "adjoint"
+
+
+@dataclass(frozen=True)
+class BasisFunction:
+    """Single trial function psi_j, the operator image of a kernel section.
+
+    STATE uses L1 and the state-space kernel; ADJOINT uses L2 and the
+    adjoint-space kernel.  evaluate() returns d^dx d^dt psi_j(x, t).
+    """
+
+    center: tuple[float, float]
+    which: BasisKind
+    kernel: TensorKernel
+
+    def evaluate(self, x, t, dx=0, dt=0):
+        xj, tj = self.center
+        S = self.kernel.spatial
+        Tk = self.kernel.temporal
+        s0 = S.eval(x, xj, dx=dx, dy=0)
+        s2 = S.eval(x, xj, dx=dx, dy=2)
+        t1 = Tk.eval(t, tj, dx=dt, dy=1)
+        t0 = Tk.eval(t, tj, dx=dt, dy=0)
+        if self.which is BasisKind.STATE:
+            # L1 = -d/ds + d^2/dr^2 applied to the second argument
+            return -s0 * t1 + s2 * t0
+        return s0 * t1 + s2 * t0
+
+    def apply_own_operator(self, x, t):
+        """L1 psi (STATE) or L2 psi (ADJOINT) at (x, t)."""
+        sign = -1.0 if self.which is BasisKind.STATE else 1.0
+        return (sign * self.evaluate(x, t, dx=0, dt=1)
+                + self.evaluate(x, t, dx=2, dt=0))

@@ -67,13 +67,6 @@ class TestSolveCommand:
         assert (tmp_path / "solution.csv").read_bytes() == first
         assert (tmp_path / "slices.csv").read_bytes() == slices_first
 
-    def test_seed_env_var_is_inert(self, tmp_path, monkeypatch):
-        cli.main(SOLVE_ARGS + ["--out", str(tmp_path / "a")])
-        monkeypatch.setenv("RKHS_SEED", "12345")
-        cli.main(SOLVE_ARGS + ["--out", str(tmp_path / "b")])
-        assert ((tmp_path / "a" / "solution.csv").read_bytes()
-                == (tmp_path / "b" / "solution.csv").read_bytes())
-
     def test_picard_mode_reported(self, tmp_path, capsys):
         rc = cli.main(["solve", "--example", "1", "--nu", "0.1", "--nx", "4",
                        "--nt", "4", "--eval-grid", "11x11", "--mode", "picard",

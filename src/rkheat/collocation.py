@@ -44,7 +44,6 @@ from .problems import ExactSolution, HomogenizedProblem
 __all__ = [
     "NodeSet",
     "CollocationSystem",
-    "SolverConfig",
     "PicardInfo",
     "Solution",
     "standard_kernels",
@@ -105,20 +104,6 @@ class CollocationSystem:
     node_set: NodeSet
     kernels: tuple[TensorKernel, TensorKernel]
     hom: HomogenizedProblem
-    conditioning: dict | None = None
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """ridge_lambda = 0 solves A b = C by LU with partial pivoting;
-    ridge_lambda > 0 solves the regularized normal equations
-    (A^T A + lambda ||A||_F^2 I) b = A^T C."""
-
-    ridge_lambda: float = 0.0
-
-    def __post_init__(self):
-        if self.ridge_lambda < 0:
-            raise ValueError("ridge_lambda must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -232,6 +217,18 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
         raise KernelDomainMismatch("state and adjoint kernels use different spatial spaces")
 
     n = len(nodes)
+    xn = nodes.nodes[:, 0]
+    tn = nodes.nodes[:, 1]
+    g1 = np.asarray(hom.G1(xn, tn), dtype=float)
+    rhs2 = (np.asarray(base.y_d(xn, tn), dtype=float)
+            - np.asarray(hom.y_hat(xn, tn), dtype=float))
+    C = np.concatenate([np.broadcast_to(g1, xn.shape),
+                        np.broadcast_to(rhs2, xn.shape)])
+    for name, values in (("G1", C[:n]), ("y_d - y_hat", C[n:])):
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            raise ValueError(f"problem data {name} is not finite at {bad} of {n} nodes")
+
     state, adjoint = _trial_spaces(kernels, nodes)
     A = np.zeros((2 * n, 2 * n))
     state.assemble(L1, A[:n, :n])
@@ -241,14 +238,6 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
     A[:n, n:] *= -1.0 / base.nu
     state.assemble(IDENTITY, A[n:, :n])
     adjoint.assemble(L2, A[n:, n:])
-
-    xn = nodes.nodes[:, 0]
-    tn = nodes.nodes[:, 1]
-    g1 = np.asarray(hom.G1(xn, tn), dtype=float)
-    rhs2 = (np.asarray(base.y_d(xn, tn), dtype=float)
-            - np.asarray(hom.y_hat(xn, tn), dtype=float))
-    C = np.concatenate([np.broadcast_to(g1, xn.shape),
-                        np.broadcast_to(rhs2, xn.shape)])
     return CollocationSystem(A=A, C=C, node_set=nodes, kernels=(K1, K2), hom=hom)
 
 
@@ -259,36 +248,55 @@ def _equilibrate(A, C):
     return A / scale[:, None], C / scale
 
 
-def solve(system: CollocationSystem, config: SolverConfig = SolverConfig()) -> "Solution":
+def _factor(M):
+    """LU factors of M and the LAPACK gecon estimate of cond_1(M) from them.
+
+    The estimate is rounded to 3 significant digits: with a threaded BLAS
+    its last bits vary between calls on bitwise-identical factors, which
+    would break byte-identical reruns of convergence.csv, and the estimate
+    (Hager-Higham) is only trusted to within a small factor anyway.
+    """
+    norm = np.linalg.norm(M, 1)      # before the factors exist: |M| is a full copy
+    try:
+        with warnings.catch_warnings():
+            # an exactly singular matrix warns before we can inspect the
+            # pivots; solve's zero-pivot check turns it into an error
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu, piv = scipy.linalg.lu_factor(M)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise NumericallySingular(f"LU factorization failed: {exc}") from exc
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, norm, norm="1")
+    cond = float(f"{1.0 / rcond:.3g}") if rcond > 0 else np.inf
+    return (lu, piv), cond
+
+
+def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
     """Solve the collocation system.
 
-    Rows are equilibrated by their max magnitude before factorization and
-    condition estimates are recorded before and after.  ridge_lambda = 0
-    uses LU with partial pivoting plus one step of iterative refinement;
-    ridge_lambda > 0 uses regularized normal equations of the equilibrated
-    matrix.
+    Rows are equilibrated by their max magnitude before factorization;
+    info["cond"] holds 1-norm condition estimates of the matrix before
+    ("pre") and after ("post") equilibration, each from its LU factors.
+    ridge_lambda = 0 uses LU with partial pivoting plus one step of
+    iterative refinement; ridge_lambda > 0 solves the regularized normal
+    equations (Aeq^T Aeq + lambda ||Aeq||_F^2 I) b = Aeq^T Ceq of the
+    equilibrated system.
     """
+    if ridge_lambda < 0:
+        raise ValueError("ridge_lambda must be >= 0")
     A, C = system.A, system.C
+    # A's factors serve only the estimate; dropping them before Aeq exists
+    # keeps the peak at three matrices (A, Aeq and Aeq's factors)
+    cond = {"pre": _factor(A)[1]}
     Aeq, Ceq = _equilibrate(A, C)
-    cond = {"pre": float(np.linalg.cond(A, 1)),
-            "post": float(np.linalg.cond(Aeq, 1))}
-    system.conditioning = cond
+    factors, cond["post"] = _factor(Aeq)
 
-    if config.ridge_lambda == 0.0:
-        try:
-            with warnings.catch_warnings():
-                # an exactly singular matrix warns before we can inspect the
-                # pivots; the zero-pivot check below turns it into an error
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                lu, piv = scipy.linalg.lu_factor(Aeq)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NumericallySingular(f"LU factorization failed: {exc}") from exc
-        if np.abs(np.diag(lu)).min() == 0.0:
+    if ridge_lambda == 0.0:
+        if np.abs(np.diag(factors[0])).min() == 0.0:
             raise NumericallySingular("LU factorization hit an exactly zero pivot")
-        b = scipy.linalg.lu_solve((lu, piv), Ceq)
-        b = b + scipy.linalg.lu_solve((lu, piv), Ceq - Aeq @ b)
+        b = scipy.linalg.lu_solve(factors, Ceq)
+        b = b + scipy.linalg.lu_solve(factors, Ceq - Aeq @ b)
     else:
-        lam = config.ridge_lambda * np.linalg.norm(Aeq, "fro") ** 2
+        lam = ridge_lambda * np.linalg.norm(Aeq, "fro") ** 2
         G = Aeq.T @ Aeq + lam * np.eye(Aeq.shape[0])
         try:
             b = scipy.linalg.solve(G, Aeq.T @ Ceq, assume_a="pos")
@@ -300,15 +308,14 @@ def solve(system: CollocationSystem, config: SolverConfig = SolverConfig()) -> "
     n = len(system.node_set)
     info = {
         "cond": cond,
-        "ridge_lambda": config.ridge_lambda,
+        "ridge_lambda": ridge_lambda,
         "residual_max": float(np.abs(A @ b - C).max()),
     }
     return Solution(b1=b[:n], b2=b[n:], node_set=system.node_set,
                     kernels=system.kernels, hom=system.hom, info=info)
 
 
-def solve_picard(system: CollocationSystem, config: SolverConfig = SolverConfig(),
-                 tol: float = 1e-10, max_iter: int = 200):
+def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 200):
     """Block fixed-point iteration mirroring the two one-field solves.
 
     Both right-hand sides are evaluated on the previous iterate, so each
@@ -410,7 +417,7 @@ def evaluate(sol: Solution, x: float, t: float):
 
 
 def error_norms(sol, exact: ExactSolution, eval_grid=(101, 101)) -> dict:
-    """Error norms of y and p on a uniform inclusive evaluation grid.
+    """Error norms of y, p and u on a uniform inclusive evaluation grid.
 
     sol is anything exposing evaluate_grid(xs, ts) -> (y, p, u); the L2
     norm uses the trapezoidal rule over the full rectangle.
@@ -422,13 +429,12 @@ def error_norms(sol, exact: ExactSolution, eval_grid=(101, 101)) -> dict:
         (a, b), T = (0.0, 1.0), 1.0
     xs = np.linspace(a, b, ne_x)
     ts = np.linspace(0.0, T, ne_t)
-    Y, P, _ = sol.evaluate_grid(xs, ts)
+    Y, P, U = sol.evaluate_grid(xs, ts)
     X, Tt = np.meshgrid(xs, ts)
-    Ey = Y - np.asarray(exact.y_exact(X, Tt), dtype=float)
-    Ep = P - np.asarray(exact.p_exact(X, Tt), dtype=float)
-    return {
-        "linf_y": float(np.abs(Ey).max()),
-        "l2_y": float(np.sqrt(trapezoid_2d(Ey ** 2, xs, ts))),
-        "linf_p": float(np.abs(Ep).max()),
-        "l2_p": float(np.sqrt(trapezoid_2d(Ep ** 2, xs, ts))),
-    }
+    norms = {}
+    for name, approx, ref in (("y", Y, exact.y_exact), ("p", P, exact.p_exact),
+                              ("u", U, exact.u_exact)):
+        err = approx - np.asarray(ref(X, Tt), dtype=float)
+        norms[f"linf_{name}"] = float(np.abs(err).max())
+        norms[f"l2_{name}"] = float(np.sqrt(trapezoid_2d(err ** 2, xs, ts)))
+    return norms

@@ -15,6 +15,9 @@ from .errors import NonDifferentiableData
 
 __all__ = ["ScalarField", "fd_derivative_1d", "require_differentiable_1d"]
 
+# step of the finite-difference fallback in ScalarField.partial
+_FD_STEP = 1e-4
+
 # fourth-order central stencils on points x + k*h, k = -2..2
 _STENCILS = {
     1: np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0,
@@ -52,16 +55,12 @@ def require_differentiable_1d(f, points, order, h, name="data"):
 class ScalarField:
     """Field f(x, t) with exact or finite-difference partial derivatives."""
 
-    def __init__(self, value, partials=None, fd_step=1e-4):
+    def __init__(self, value, partials=None):
         self._value = value
         self._partials = dict(partials) if partials else {}
-        self._fd_step = fd_step
 
     def __call__(self, x, t):
         return self._value(x, t)
-
-    def has_exact(self, dx, dt) -> bool:
-        return (dx, dt) == (0, 0) or (dx, dt) in self._partials
 
     def partial(self, x, t, dx=0, dt=0):
         """Mixed partial d^dx/dx^dx d^dt/dt^dt f at (x, t)."""
@@ -74,7 +73,7 @@ class ScalarField:
             raise NonDifferentiableData(
                 f"no exact closure for order ({dx}, {dt}) and the finite-"
                 "difference fallback supports orders up to 2 per variable")
-        h = self._fd_step
+        h = _FD_STEP
 
         def fx(xx, tt):
             if dx == 0:

@@ -205,6 +205,18 @@ def test_criterion_4_monotone_convergence():
     assert passed, line
 
 
+def test_known_failures_pinned():
+    # criteria 3 and 4 fail on the benchmark data, not the solver; their
+    # measured numbers are pinned so that a drift in them shows
+    r16 = run_example(1, 16)
+    assert r16.norms["linf_y"] == pytest.approx(3.8581963045811653e-3, rel=1e-9, abs=0)
+    assert r16.norms["linf_p"] == pytest.approx(6.912000000000107e-4, rel=1e-9, abs=0)
+    l2_y = [run_example(3, n).norms["l2_y"] for n in (4, 8, 12, 16)]
+    assert l2_y == pytest.approx([1.2414205924347358e-2, 5.245370120607734e-3,
+                                  9.495126742522363e-3, 1.1739147442955148e-2],
+                                 rel=1e-9, abs=0)
+
+
 def test_criterion_5_oracle_cross_validation():
     t0 = time.perf_counter()
     run = run_example(1, 12)

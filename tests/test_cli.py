@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 
 import rkheat.cli as cli
 from rkheat.errors import NumericallySingular
+from rkheat.problems import builtin_example
 
 SOLVE_ARGS = ["solve", "--example", "1", "--nu", "1e-2", "--nx", "4", "--nt", "4",
               "--eval-grid", "21x21"]
@@ -113,7 +115,7 @@ class TestFailureModes:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "UsageError"
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        def boom(system, config):
+        def boom(system, ridge_lambda):
             raise NumericallySingular("synthetic failure")
         monkeypatch.setattr(cli, "solve", boom)
         rc = cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
@@ -121,6 +123,28 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "NumericallySingular"
         assert err["reason"] == "synthetic failure"
+
+    def test_ridge_with_picard_rejected(self, capsys):
+        rc = cli.main(SOLVE_ARGS + ["--mode", "picard", "--ridge", "1e-6"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "UsageError"
+        assert "picard" in err["reason"]
+
+    @pytest.mark.parametrize("mode_args", [[], ["--ridge", "1e-12"], ["--mode", "picard"]],
+                             ids=["direct", "ridge", "picard"])
+    def test_nonfinite_target_named(self, tmp_path, capsys, monkeypatch, mode_args):
+        def example_with_nan_target(example_id, nu):
+            problem, exact = builtin_example(example_id, nu=nu)
+            y_d = problem.y_d
+            return dataclasses.replace(
+                problem, y_d=lambda x, t: np.where(x < 0.3, np.nan, y_d(x, t))), exact
+        monkeypatch.setattr(cli, "builtin_example", example_with_nan_target)
+        rc = cli.main(SOLVE_ARGS + mode_args + ["--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "y_d - y_hat is not finite at 4 of 16 nodes" in err["reason"]
 
 
 class TestConvergenceCommand:

@@ -17,7 +17,6 @@ on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -85,10 +84,6 @@ class RunConfig:
             raise UsageError("ridge applies to the direct solve only, not to --mode picard")
         if self.slice_times not in ("prose", "caption"):
             raise UsageError("slice-times must be prose or caption")
-
-
-def _fmt(v) -> str:
-    return "%.17g" % float(v)
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -223,21 +218,15 @@ def _solution_rows(sol, exact, xs, ts):
     Ye = np.asarray(exact.y_exact(X, Tt), dtype=float)
     Pe = np.asarray(exact.p_exact(X, Tt), dtype=float)
     Ue = np.asarray(exact.u_exact(X, Tt), dtype=float)
-    rows = []
-    for j, t in enumerate(ts):
-        for i, x in enumerate(xs):
-            rows.append([x, t, Ye[j, i], Y[j, i], Pe[j, i], P[j, i],
-                         Ue[j, i], U[j, i],
-                         abs(Y[j, i] - Ye[j, i]), abs(P[j, i] - Pe[j, i])])
-    return rows
+    return np.column_stack([c.ravel() for c in
+                            (X, Tt, Ye, Y, Pe, P, Ue, U, np.abs(Y - Ye), np.abs(P - Pe))])
 
 
 def _write_csv(path: str, header, rows) -> None:
+    """Header line, then one "%.17g" line per row (round-trip exact)."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        f.write(",".join(header) + "\n")
+        np.savetxt(f, rows, fmt="%.17g", delimiter=",")
 
 
 def _emit_report(report: dict, path: str) -> None:

@@ -28,6 +28,7 @@ kernel module); no finite differences enter the matrix.
 from __future__ import annotations
 
 import dataclasses
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -128,6 +129,31 @@ def standard_kernels(interval, horizon):
     return TensorKernel(spatial, state_t), TensorKernel(spatial, adjoint_t)
 
 
+# Peak bytes of a direct solve as a multiple of |A| = (2n)^2 * 8 B, measured
+# with tracemalloc at 16^2 and 32^2 nodes: A plus Aeq plus Aeq's LU factors
+# (assembly alone peaks at 1.5-1.6 |A|, a ridge solve at 6 |A|).
+_PEAK_PER_A = 3
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the OS does not report it."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+def _check_footprint(n: int) -> None:
+    """Refuse n nodes whose dense solve would not fit in physical memory."""
+    budget = _physical_memory()
+    estimate = _PEAK_PER_A * (2 * n) ** 2 * 8
+    if budget is not None and estimate > budget:
+        raise ValueError(f"{n} nodes need an estimated {estimate / 2**20:.0f} MB "
+                         f"for the dense {2 * n}x{2 * n} solve, more than the "
+                         f"{budget / 2**20:.0f} MB of physical memory")
+
+
 def _kernel_columns(kernel, xs, coords, dx, dy):
     """kernel_matrix(kernel, xs, coords, dx, dy).
 
@@ -217,6 +243,7 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
         raise KernelDomainMismatch("state and adjoint kernels use different spatial spaces")
 
     n = len(nodes)
+    _check_footprint(n)
     xn = nodes.nodes[:, 0]
     tn = nodes.nodes[:, 1]
     g1 = np.asarray(hom.G1(xn, tn), dtype=float)

@@ -6,6 +6,9 @@ t_{j+1/2} and solved all at once as one sparse linear system.  The state
 is unknown at levels 1..M (level 0 is the initial data) and the adjoint
 at levels 0..M-1 (level M is its terminal zero), so the system is square.
 The control is recovered exactly as u = p / nu on the grid.
+
+scipy.sparse and scipy.interpolate are imported on first use: the kernel
+solver never needs them, and importing rkheat should not pay for them.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import SingularDiscretization
 from .grids import GridField, SpaceTimeGrid, trapezoid_2d
@@ -39,7 +39,9 @@ class FDReferenceSolution:
     u: GridField
 
 
-def _laplacian(n_x: int, h: float) -> scipy.sparse.csr_matrix:
+def _laplacian(n_x: int, h: float) -> "scipy.sparse.csr_matrix":
+    import scipy.sparse
+
     main = -2.0 * np.ones(n_x)
     off = np.ones(n_x - 1)
     return scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr") / h ** 2
@@ -47,6 +49,9 @@ def _laplacian(n_x: int, h: float) -> scipy.sparse.csr_matrix:
 
 def solve_coupled_fd(problem: ControlProblem, grid: SpaceTimeGrid) -> FDReferenceSolution:
     """Solve both equations simultaneously on the given grid."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
     if not np.isclose(grid.interval[0], problem.a) \
             or not np.isclose(grid.interval[1], problem.b) \
             or not np.isclose(grid.horizon, problem.T):
@@ -129,6 +134,8 @@ def error_vs_exact(field: GridField, exact_field) -> dict:
 
 
 def _spline(field: GridField):
+    from scipy.interpolate import RectBivariateSpline
+
     g = field.grid
     return RectBivariateSpline(g.ts, g.xs, field.values, kx=3, ky=3)
 

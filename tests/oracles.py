@@ -13,11 +13,13 @@ so 24-point panels are exact to machine precision.
 
 BasisFunction and tensor_eval evaluate one trial function and one tensor
 kernel value point by point, as references for the factored evaluation in
-the collocation module.
+the collocation module.  write_csv_reference is the row-by-row CSV writer
+that the CLI's output format is pinned to.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -173,3 +175,12 @@ class BasisFunction:
         sign = -1.0 if self.which is BasisKind.STATE else 1.0
         return (sign * self.evaluate(x, t, dx=0, dt=1)
                 + self.evaluate(x, t, dx=2, dt=0))
+
+
+def write_csv_reference(path, header, rows) -> None:
+    """Header, then each value as "%.17g" of its float, one row per line."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(["%.17g" % float(v) for v in row])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import rkheat.cli as cli
+import rkheat.collocation as collocation
+from oracles import write_csv_reference
 from rkheat.errors import NumericallySingular
 from rkheat.problems import builtin_example
 
@@ -90,6 +92,23 @@ class TestSolveCommand:
         assert report["config"]["n_x"] == 3
 
 
+class TestCsvFormat:
+    HEADER = ["n_total", "value", "other"]
+
+    @pytest.mark.parametrize("rows", [
+        [[16, -0.0, 1e-300], [64, float("inf"), -float("inf")],
+         [144, float("nan"), 0.1], [256, -1.0 / 3.0, 2.0 ** 60]],
+        np.array([[0.0, -0.0, 5e-324], [1.5, 21700000.0, -1e17],
+                  [np.nan, np.inf, 0.30000000000000004]]),
+        [[1, 2.5, -0.0]],
+        np.array([[np.pi, -np.e, 1e-17]]),
+    ], ids=["list", "array", "one-row-list", "one-row-array"])
+    def test_bytes_match_row_by_row_writer(self, tmp_path, rows):
+        cli._write_csv(tmp_path / "new.csv", self.HEADER, rows)
+        write_csv_reference(tmp_path / "ref.csv", self.HEADER, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestFailureModes:
     def test_unknown_flag_usage_error(self, capsys):
         rc = cli.main(["solve", "--frobnicate"])
@@ -145,6 +164,16 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
         assert "y_d - y_hat is not finite at 4 of 16 nodes" in err["reason"]
+
+    def test_size_over_physical_memory_refused(self, tmp_path, capsys, monkeypatch):
+        # 4x4 nodes: 3 * 32^2 * 8 B = 24 KB estimated against a 16 KB budget
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: 2 ** 14)
+        rc = cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "16 nodes need an estimated" in err["reason"]
+        assert not (tmp_path / "solution.csv").exists()
 
 
 class TestConvergenceCommand:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rkheat as rk
+import rkheat.collocation as collocation
 from conftest import UNIT, node_layout, solve_example
 from oracles import BasisFunction, BasisKind
 
@@ -92,6 +93,29 @@ class TestAssemble:
         bad = rk.standard_kernels((0.0, 2.0), 1.0)
         with pytest.raises(rk.KernelDomainMismatch):
             rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), bad)
+
+    def test_footprint_over_physical_memory_refused(self, ex1_case, unit_kernels,
+                                                    monkeypatch):
+        _, _, hom = ex1_case
+        nodes = rk.generate_nodes(16, 16, UNIT)      # |A| = 512^2 * 8 B = 2 MB
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: 5 * 2 ** 20)
+        with pytest.raises(ValueError, match="256 nodes need an estimated 6 MB "
+                                             "for the dense 512x512 solve, more "
+                                             "than the 5 MB of physical memory"):
+            rk.assemble(hom, nodes, unit_kernels)
+
+    def test_footprint_estimate_is_three_matrices(self, ex1_case, unit_kernels,
+                                                  monkeypatch):
+        _, _, hom = ex1_case
+        nodes = rk.generate_nodes(2, 2, UNIT)
+        estimate = 3 * 8 ** 2 * 8
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: estimate)
+        rk.assemble(hom, nodes, unit_kernels)
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: estimate - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            rk.assemble(hom, nodes, unit_kernels)
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: None)
+        rk.assemble(hom, nodes, unit_kernels)
 
     def test_heldout_residual_decreases_when_n_doubles(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collocation import (assemble, error_norms, generate_nodes, solve,
-                          solve_picard, standard_kernels)
+from .collocation import (assemble, error_norms, exact_grid, generate_nodes,
+                          grid_error_norms, solve, solve_picard, standard_kernels)
 from .errors import (GridMismatch, KernelDomainMismatch, NonDifferentiableData,
                      NumericallySingular, OutOfDomain, SingularConditionSystem,
                      SingularDiscretization, UnknownExample)
@@ -212,12 +212,14 @@ def _cost(sol, problem, n: int = 100) -> float:
     return cost_functional(GridField(grid, Y), GridField(grid, U), problem)
 
 
-def _solution_rows(sol, exact, xs, ts):
-    Y, P, U = sol.evaluate_grid(xs, ts)
+def _grid_values(sol, exact, xs, ts):
+    """(Y, P, U) of the solution and of the closed forms on the grid."""
+    return sol.evaluate_grid(xs, ts), exact_grid(exact, xs, ts)
+
+
+def _solution_rows(xs, ts, approx, reference):
+    (Y, P, U), (Ye, Pe, Ue) = approx, reference
     X, Tt = np.meshgrid(xs, ts)
-    Ye = np.asarray(exact.y_exact(X, Tt), dtype=float)
-    Pe = np.asarray(exact.p_exact(X, Tt), dtype=float)
-    Ue = np.asarray(exact.u_exact(X, Tt), dtype=float)
     return np.column_stack([c.ravel() for c in
                             (X, Tt, Ye, Y, Pe, P, Ue, U, np.abs(Y - Ye), np.abs(P - Pe))])
 
@@ -244,23 +246,25 @@ def cmd_solve(args) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.perf_counter()
     problem, exact, hom, sol = _run_pipeline(cfg)
-    norms = error_norms(sol, exact, eval_grid=cfg.eval_grid)
 
     ne_x, ne_t = cfg.eval_grid
     xs = np.linspace(problem.a, problem.b, ne_x)
     ts = np.linspace(0.0, problem.T, ne_t)
+    values = _grid_values(sol, exact, xs, ts)
+    norms = grid_error_norms(*values, xs, ts)
     _write_csv(os.path.join(cfg.output_dir, "solution.csv"),
-               SOLUTION_HEADER, _solution_rows(sol, exact, xs, ts))
+               SOLUTION_HEADER, _solution_rows(xs, ts, *values))
 
     slice_ts = np.asarray(PROSE_SLICE_TIMES if cfg.slice_times == "prose"
                           else CAPTION_SLICE_TIMES) * problem.T
-    _write_csv(os.path.join(cfg.output_dir, "slices.csv"),
-               SOLUTION_HEADER, _solution_rows(sol, exact, xs, slice_ts))
+    _write_csv(os.path.join(cfg.output_dir, "slices.csv"), SOLUTION_HEADER,
+               _solution_rows(xs, slice_ts, *_grid_values(sol, exact, xs, slice_ts)))
 
     report = {
         "config": _config_echo(cfg),
         "norms": norms,
         "cond": sol.info.get("cond"),
+        "solver": sol.info.get("solver"),
         "residuals": _heldout_residuals(sol, hom, cfg.n_x, cfg.n_t),
         "j_cost": _cost(sol, problem),
         "seconds": time.perf_counter() - t0,

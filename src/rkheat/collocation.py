@@ -129,10 +129,11 @@ def standard_kernels(interval, horizon):
     return TensorKernel(spatial, state_t), TensorKernel(spatial, adjoint_t)
 
 
-# Peak bytes of a direct solve as a multiple of |A| = (2n)^2 * 8 B, measured
-# with tracemalloc at 16^2 and 32^2 nodes: A plus Aeq plus Aeq's LU factors
-# (assembly alone peaks at 1.5-1.6 |A|, a ridge solve at 6 |A|).
-_PEAK_PER_A = 3
+# Peak bytes of a direct solve as a multiple of |A| = (2n)^2 * 8 B, rounded
+# up to a half: A plus Aeq, factored in place, plus lu_factor's finiteness
+# mask or a block of rows, measured with tracemalloc at 2.13 |A| at 32^2 and
+# 48^2 nodes (assembly alone peaks at 1.5-1.6 |A|, a ridge solve at 5 |A|).
+_PEAK_PER_A = 2.5
 
 
 def _physical_memory():
@@ -268,61 +269,144 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
     return CollocationSystem(A=A, C=C, node_set=nodes, kernels=(K1, K2), hom=hom)
 
 
-def _equilibrate(A, C):
-    scale = np.abs(A).max(axis=1)
-    if not np.all(scale > 0):
-        raise NumericallySingular("system matrix has an identically zero row")
-    return A / scale[:, None], C / scale
+# rows of A per block in the passes that would otherwise need a full
+# |A| or Aeq temporary next to A and Aeq's factors; each pass reuses one
+# block buffer, since a fresh multi-MB block per step is paged in anew
+_ROW_BLOCK = 256
 
 
-def _factor(M):
-    """LU factors of M and the LAPACK gecon estimate of cond_1(M) from them.
+def _row_scales(A):
+    """Row scales d = max_j |A_ij| and the norms of A that need |A|.
 
-    The estimate is rounded to 3 significant digits: with a threaded BLAS
-    its last bits vary between calls on bitwise-identical factors, which
-    would break byte-identical reruns of convergence.csv, and the estimate
-    (Hager-Higham) is only trusted to within a small factor anyway.
+    One pass over blocks of rows; returns d, ||A||_1, ||Aeq||_1 and
+    ||A||_inf, where Aeq = D^-1 A is the row-equilibrated matrix.
     """
-    norm = np.linalg.norm(M, 1)      # before the factors exist: |M| is a full copy
-    try:
-        with warnings.catch_warnings():
-            # an exactly singular matrix warns before we can inspect the
-            # pivots; solve's zero-pivot check turns it into an error
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(M)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericallySingular(f"LU factorization failed: {exc}") from exc
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, norm, norm="1")
-    cond = float(f"{1.0 / rcond:.3g}") if rcond > 0 else np.inf
-    return (lu, piv), cond
+    d = np.empty(A.shape[0])
+    cols, cols_eq = np.zeros(A.shape[1]), np.zeros(A.shape[1])
+    norm_inf = 0.0
+    buffer = np.empty((min(_ROW_BLOCK, len(d)), A.shape[1]))
+    for i in range(0, len(d), _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, len(d))
+        block = np.abs(A[i:j], out=buffer[:j - i])
+        scale = d[i:j] = block.max(axis=1)
+        if not np.all(scale > 0):
+            raise NumericallySingular("system matrix has an identically zero row")
+        cols += block.sum(axis=0)
+        norm_inf = max(norm_inf, block.sum(axis=1).max())
+        block /= scale[:, None]
+        cols_eq += block.sum(axis=0)
+    return d, float(cols.max()), float(cols_eq.max()), float(norm_inf)
+
+
+def _equilibrated_residual(A, d, Ceq, b):
+    """Ceq - Aeq @ b, with the rows of Aeq = A / d rebuilt block by block.
+
+    Each row's product is the one a full Aeq @ b forms, so b is bitwise
+    the b of a solve that keeps Aeq.  (C - A @ b) / d is not: at cond
+    ~1e13 its last-bit changes move b by ~1e-8.
+    """
+    r = np.empty_like(Ceq)
+    buffer = np.empty((min(_ROW_BLOCK, len(d)), len(b)))
+    for i in range(0, len(d), _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, len(d))
+        block = np.divide(A[i:j], d[i:j, None], out=buffer[:j - i])
+        r[i:j] = Ceq[i:j] - block @ b
+    return r
+
+
+def _inverse_norm_1(apply, apply_t, n):
+    """Hager-Higham estimate of ||M^-1||_1 from products with M^-1 and M^-T.
+
+    LAPACK dlacn2's deterministic t=1 loop (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, ch. 15): at most five iterations, then
+    the alternating-sign vector as a safeguard.  n >= 2.
+    """
+    x = apply(np.full(n, 1.0 / n))
+    est = np.abs(x).sum()
+    sign = np.where(x >= 0, 1.0, -1.0)
+    j = np.argmax(np.abs(apply_t(sign)))
+    for _ in range(4):
+        x = apply(np.eye(1, n, j)[0])
+        est_old, est = est, np.abs(x).sum()
+        new_sign = np.where(x >= 0, 1.0, -1.0)
+        if np.array_equal(new_sign, sign) or est <= est_old:
+            break
+        sign = new_sign
+        z = apply_t(sign)
+        j_last, j = j, np.argmax(np.abs(z))
+        if z[j_last] == abs(z[j]):
+            break
+    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    return max(est, 2.0 * np.abs(apply(alt)).sum() / (3 * n))
+
+
+def _round3(cond):
+    """A condition estimate to 3 significant digits.
+
+    With a threaded BLAS the last bits of an estimate vary between calls
+    on bitwise-identical factors, which would break byte-identical reruns
+    of convergence.csv; the estimate is only trusted to within a small
+    factor anyway.
+    """
+    return float(f"{cond:.3g}") if np.isfinite(cond) else np.inf
 
 
 def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
-    """Solve the collocation system.
+    """Solve the collocation system with one LU factorization.
 
-    Rows are equilibrated by their max magnitude before factorization;
-    info["cond"] holds 1-norm condition estimates of the matrix before
-    ("pre") and after ("post") equilibration, each from its LU factors.
-    ridge_lambda = 0 uses LU with partial pivoting plus one step of
-    iterative refinement; ridge_lambda > 0 solves the regularized normal
-    equations (Aeq^T Aeq + lambda ||Aeq||_F^2 I) b = Aeq^T Ceq of the
-    equilibrated system.
+    Rows are scaled by their max magnitude, A = D Aeq, and Aeq is factored
+    in place by LU with partial pivoting.  info["cond"] holds 1-norm
+    condition estimates of A ("pre") and Aeq ("post"), both from Aeq's
+    factors: "post" is LAPACK gecon, "pre" is ||A||_1 times the
+    Hager-Higham estimate of ||A^-1||_1 = ||Aeq^-1 D^-1||_1.  No inverse
+    is formed.  ridge_lambda = 0 solves with the factors plus one step of
+    iterative refinement, and info["solver"] records the backward error
+    ||A b - C||_inf / (||A||_inf ||b||_inf + ||C||_inf) and the refinement
+    change ||db||_inf / ||b||_inf.  ridge_lambda > 0 solves the regularized
+    normal equations (Aeq^T Aeq + lambda ||Aeq||_F^2 I) b = Aeq^T Ceq of
+    the equilibrated system; it takes no refinement step, so its
+    refinement change is None.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
     A, C = system.A, system.C
-    # A's factors serve only the estimate; dropping them before Aeq exists
-    # keeps the peak at three matrices (A, Aeq and Aeq's factors)
-    cond = {"pre": _factor(A)[1]}
-    Aeq, Ceq = _equilibrate(A, C)
-    factors, cond["post"] = _factor(Aeq)
+    d, norm_1, norm_1_eq, norm_inf = _row_scales(A)
+    Ceq = C / d
+    # Fortran order, or lu_factor copies Aeq whatever overwrite_a says;
+    # numpy's blocked transposing copy and an in-place divide are faster
+    # than one np.divide into a Fortran-ordered output
+    Aeq = np.array(A, dtype=float, order="F")
+    Aeq /= d[:, None]
+    try:
+        with warnings.catch_warnings():
+            # an exactly singular matrix warns before we can inspect the
+            # pivots; the zero-pivot check below turns it into an error
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            factors = scipy.linalg.lu_factor(Aeq, overwrite_a=True)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise NumericallySingular(f"LU factorization failed: {exc}") from exc
+    del Aeq                          # overwritten by its factors
+    lu = factors[0]
+    if np.abs(np.diag(lu)).min() == 0.0:
+        if ridge_lambda == 0.0:
+            raise NumericallySingular("LU factorization hit an exactly zero pivot")
+        cond = {"pre": np.inf, "post": np.inf}
+    else:
+        rcond, _ = scipy.linalg.lapack.dgecon(lu, norm_1_eq, norm="1")
+        inv_norm = _inverse_norm_1(
+            lambda v: scipy.linalg.lu_solve(factors, v / d, check_finite=False),
+            lambda v: scipy.linalg.lu_solve(factors, v, trans=1, check_finite=False) / d,
+            len(d))
+        cond = {"pre": _round3(norm_1 * inv_norm),
+                "post": _round3(1.0 / rcond) if rcond > 0 else np.inf}
 
     if ridge_lambda == 0.0:
-        if np.abs(np.diag(factors[0])).min() == 0.0:
-            raise NumericallySingular("LU factorization hit an exactly zero pivot")
         b = scipy.linalg.lu_solve(factors, Ceq)
-        b = b + scipy.linalg.lu_solve(factors, Ceq - Aeq @ b)
+        db = scipy.linalg.lu_solve(factors, _equilibrated_residual(A, d, Ceq, b))
+        b = b + db
     else:
+        del factors, lu              # before Aeq is rebuilt, so the two never coexist
+        Aeq = A / d[:, None]
         lam = ridge_lambda * np.linalg.norm(Aeq, "fro") ** 2
         G = Aeq.T @ Aeq + lam * np.eye(Aeq.shape[0])
         try:
@@ -333,10 +417,19 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
         raise NumericallySingular("solution vector is not finite")
 
     n = len(system.node_set)
+    residual_max = float(np.abs(A @ b - C).max())
+    b_max = float(np.abs(b).max())
+    scale = norm_inf * b_max + float(np.abs(C).max())
+    change = None
+    if ridge_lambda == 0.0:
+        change = float(np.abs(db).max()) / b_max if b_max else 0.0
     info = {
         "cond": cond,
         "ridge_lambda": ridge_lambda,
-        "residual_max": float(np.abs(A @ b - C).max()),
+        "residual_max": residual_max,
+        # b = 0 with C = 0 solves exactly: both ratios are then 0
+        "solver": {"backward_error": residual_max / scale if scale else 0.0,
+                   "refinement_change": change},
     }
     return Solution(b1=b[:n], b2=b[n:], node_set=system.node_set,
                     kernels=system.kernels, hom=system.hom, info=info)
@@ -443,6 +536,27 @@ def evaluate(sol: Solution, x: float, t: float):
     return y_tot, p, p / sol.hom.base.nu
 
 
+def exact_grid(exact: ExactSolution, xs, ts):
+    """Closed-form (y, p, u) arrays on the tensor grid, t-major."""
+    X, T = np.meshgrid(xs, ts)
+    return tuple(np.asarray(f(X, T), dtype=float)
+                 for f in (exact.y_exact, exact.p_exact, exact.u_exact))
+
+
+def grid_error_norms(approx, reference, xs, ts) -> dict:
+    """Sup and L2 norms of the (y, p, u) errors approx - reference.
+
+    Both are triples of t-major arrays on the grid xs x ts; the L2 norm
+    uses the trapezoidal rule over the grid's rectangle.
+    """
+    norms = {}
+    for name, field, ref in zip("ypu", approx, reference):
+        err = field - ref
+        norms[f"linf_{name}"] = float(np.abs(err).max())
+        norms[f"l2_{name}"] = float(np.sqrt(trapezoid_2d(err ** 2, xs, ts)))
+    return norms
+
+
 def error_norms(sol, exact: ExactSolution, eval_grid=(101, 101)) -> dict:
     """Error norms of y, p and u on a uniform inclusive evaluation grid.
 
@@ -456,12 +570,4 @@ def error_norms(sol, exact: ExactSolution, eval_grid=(101, 101)) -> dict:
         (a, b), T = (0.0, 1.0), 1.0
     xs = np.linspace(a, b, ne_x)
     ts = np.linspace(0.0, T, ne_t)
-    Y, P, U = sol.evaluate_grid(xs, ts)
-    X, Tt = np.meshgrid(xs, ts)
-    norms = {}
-    for name, approx, ref in (("y", Y, exact.y_exact), ("p", P, exact.p_exact),
-                              ("u", U, exact.u_exact)):
-        err = approx - np.asarray(ref(X, Tt), dtype=float)
-        norms[f"linf_{name}"] = float(np.abs(err).max())
-        norms[f"l2_{name}"] = float(np.sqrt(trapezoid_2d(err ** 2, xs, ts)))
-    return norms
+    return grid_error_norms(sol.evaluate_grid(xs, ts), exact_grid(exact, xs, ts), xs, ts)

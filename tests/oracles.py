@@ -14,7 +14,10 @@ so 24-point panels are exact to machine precision.
 BasisFunction and tensor_eval evaluate one trial function and one tensor
 kernel value point by point, as references for the factored evaluation in
 the collocation module.  write_csv_reference is the row-by-row CSV writer
-that the CLI's output format is pinned to.
+that the CLI's output format is pinned to.  two_lu_solve is the
+equilibrated direct solve that keeps Aeq beside its factors and factors
+the raw matrix a second time for its condition estimate; the collocation
+module's single-factorization solve is pinned to its b and estimates.
 """
 
 from __future__ import annotations
@@ -184,3 +187,25 @@ def write_csv_reference(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow(["%.17g" % float(v) for v in row])
+
+
+def two_lu_solve(A, C):
+    """Equilibrated LU solve with one refinement step and gecon estimates.
+
+    Rows are scaled by their max magnitude; Aeq is kept beside a copy of
+    its LU factors, and the refinement residual is Ceq - Aeq @ b.  A second
+    LU, of A itself, gives cond_1(A).  Returns the refined b, the
+    refinement step db and the condition estimates of A ("pre") and Aeq
+    ("post") rounded to 3 significant digits.
+    """
+    scale = np.abs(A).max(axis=1)
+    Aeq, Ceq = A / scale[:, None], C / scale
+    cond = {}
+    for key, M in (("pre", A), ("post", Aeq)):
+        lu, _ = scipy.linalg.lu_factor(M)
+        rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(M, 1), norm="1")
+        cond[key] = float(f"{1.0 / rcond:.3g}")
+    factors = scipy.linalg.lu_factor(Aeq)
+    b = scipy.linalg.lu_solve(factors, Ceq)
+    db = scipy.linalg.lu_solve(factors, Ceq - Aeq @ b)
+    return b + db, db, cond

@@ -33,7 +33,15 @@ class TestSolveCommand:
         for v in report["norms"].values():
             assert np.isfinite(v) and v >= 0
         assert set(report["cond"]) == {"pre", "post"}
+        assert set(report["solver"]) == {"backward_error", "refinement_change"}
         assert set(report["residuals"]) == {"forward_max", "adjoint_max"}
+
+    def test_norms_match_error_norms(self, tmp_path, capsys):
+        # the norms come from the arrays solution.csv is written from
+        cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
+        report = json.loads(capsys.readouterr().out)
+        _, exact, _, sol = cli._run_pipeline(cli.RunConfig(n_x=4, n_t=4, eval_grid=(21, 21)))
+        assert report["norms"] == collocation.error_norms(sol, exact, eval_grid=(21, 21))
 
     def test_solution_header_and_order(self, tmp_path):
         cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
@@ -78,6 +86,7 @@ class TestSolveCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["picard"]["converged"] is True
+        assert report["cond"] is None and report["solver"] is None
 
     def test_config_file_with_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import solve_triangular
 
 import rkheat as rk
 import rkheat.collocation as collocation
 from conftest import UNIT, node_layout, solve_example
-from oracles import BasisFunction, BasisKind
+from oracles import BasisFunction, BasisKind, two_lu_solve
 
 
 class TestGenerateNodes:
@@ -98,17 +102,17 @@ class TestAssemble:
                                                     monkeypatch):
         _, _, hom = ex1_case
         nodes = rk.generate_nodes(16, 16, UNIT)      # |A| = 512^2 * 8 B = 2 MB
-        monkeypatch.setattr(collocation, "_physical_memory", lambda: 5 * 2 ** 20)
-        with pytest.raises(ValueError, match="256 nodes need an estimated 6 MB "
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: 4 * 2 ** 20)
+        with pytest.raises(ValueError, match="256 nodes need an estimated 5 MB "
                                              "for the dense 512x512 solve, more "
-                                             "than the 5 MB of physical memory"):
+                                             "than the 4 MB of physical memory"):
             rk.assemble(hom, nodes, unit_kernels)
 
-    def test_footprint_estimate_is_three_matrices(self, ex1_case, unit_kernels,
-                                                  monkeypatch):
+    def test_footprint_estimate_is_two_and_a_half_matrices(self, ex1_case, unit_kernels,
+                                                           monkeypatch):
         _, _, hom = ex1_case
         nodes = rk.generate_nodes(2, 2, UNIT)
-        estimate = 3 * 8 ** 2 * 8
+        estimate = 2.5 * 8 ** 2 * 8
         monkeypatch.setattr(collocation, "_physical_memory", lambda: estimate)
         rk.assemble(hom, nodes, unit_kernels)
         monkeypatch.setattr(collocation, "_physical_memory", lambda: estimate - 1)
@@ -163,9 +167,16 @@ class TestSolve:
             assert np.isfinite(sol.info["cond"][key])
             assert sol.info["cond"][key] >= 1.0
 
-    @pytest.mark.parametrize("example_id, n", [(1, 8), (2, 16)])
-    def test_cond_estimates_against_exact(self, example_id, n):
-        _, _, _, system, sol, _ = solve_example(example_id, 1e-2, n, n)
+    @pytest.mark.parametrize("example_id, nu, layout, n", [
+        pytest.param(1, 1e-2, "grid", 8, id="1-8"),
+        pytest.param(2, 1e-2, "grid", 16, id="2-16"),
+        pytest.param(1, 1e-2, "jittered", 8, id="1-8-jittered"),
+        pytest.param(1, 1e-6, "grid", 14, id="1-14-nu1e-6"),
+    ])
+    def test_cond_estimates_against_exact(self, example_id, nu, layout, n, unit_kernels):
+        problem, _ = rk.builtin_example(example_id, nu=nu)
+        system = rk.assemble(rk.homogenize(problem), node_layout(layout, n), unit_kernels)
+        sol = rk.solve(system)
         A = system.A
         Aeq = A / np.abs(A).max(axis=1)[:, None]
         for key, M in (("pre", A), ("post", Aeq)):
@@ -181,6 +192,77 @@ class TestSolve:
         conds = [rk.solve(system).info["cond"] for _ in range(10)]
         assert all(c == conds[0] for c in conds)
         assert all(float(f"{v:.3g}") == v for v in conds[0].values())
+
+    @pytest.mark.parametrize("example_id, n", [(1, 8), (2, 16)])
+    def test_matches_two_lu_reference(self, example_id, n):
+        # one LU of Aeq, in place, with the refinement residual rebuilt from
+        # A gives bitwise the b of a solve that keeps Aeq and factors A too
+        _, _, _, system, sol, _ = solve_example(example_id, 1e-2, n, n)
+        b, db, cond = two_lu_solve(system.A, system.C)
+        assert np.array_equal(np.concatenate([sol.b1, sol.b2]), b)
+        assert sol.info["cond"] == cond
+        assert sol.info["solver"]["refinement_change"] == np.abs(db).max() / np.abs(b).max()
+
+    def test_inverse_norm_estimate_matches_lapack(self, rng):
+        # on the operator (LU)^-1, which LAPACK gecon estimates, the loop
+        # must repeat dlacn2 step for step; about 1 in 150 of these cases
+        # takes its estimate from the alternating-sign vector
+        for _ in range(1500):
+            n = int(rng.integers(2, 9))
+            M = rng.standard_normal((n, n))
+            lu, _ = scipy.linalg.lu_factor(M)
+            est = collocation._inverse_norm_1(
+                lambda v: solve_triangular(lu, solve_triangular(lu, v, lower=True,
+                                                                unit_diagonal=True)),
+                lambda v: solve_triangular(lu, solve_triangular(lu, v, trans=1),
+                                           lower=True, unit_diagonal=True, trans=1),
+                n)
+            norm = np.abs(M).sum(axis=0).max()
+            rcond, _ = scipy.linalg.lapack.dgecon(lu, norm, norm="1")
+            assert est == pytest.approx(1.0 / (rcond * norm), rel=1e-10)
+
+    def test_backward_error(self, ex1_solution_8):
+        sol, system = ex1_solution_8
+        A, C = system.A, system.C
+        b = np.concatenate([sol.b1, sol.b2])
+        want = np.abs(A @ b - C).max() / (np.abs(A).sum(axis=1).max() * np.abs(b).max()
+                                          + np.abs(C).max())
+        assert sol.info["solver"]["backward_error"] == pytest.approx(want, rel=1e-12)
+        assert sol.info["solver"]["backward_error"] < 1e-15
+
+    def test_one_lu_per_solve(self, ex1_solution_8, monkeypatch):
+        _, system = ex1_solution_8
+        calls = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        rk.solve(system)
+        assert calls == [system.A.shape]
+
+    def test_extra_memory_below_one_and_a_third_matrices(self):
+        # beyond A: Aeq, factored in place, plus a block of rows or
+        # lu_factor's finiteness mask; a second LU or an LU copy beside
+        # Aeq makes it 2 |A|
+        _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
+        tracemalloc.start()
+        try:
+            rk.solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * system.A.nbytes
+
+    def test_system_unchanged(self, ex1_case, unit_kernels):
+        _, _, hom = ex1_case
+        system = rk.assemble(hom, rk.generate_nodes(4, 4, UNIT), unit_kernels)
+        A, C = system.A.copy(), system.C.copy()
+        rk.solve(system)
+        rk.solve(system, ridge_lambda=1e-12)
+        assert np.array_equal(system.A, A) and np.array_equal(system.C, C)
 
     def test_zero_row_raises(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
@@ -198,11 +280,24 @@ class TestSolve:
         with pytest.raises(rk.NumericallySingular):
             rk.solve(system)
 
+    def test_ridge_on_singular_matrix(self, ex1_case, unit_kernels):
+        # the ridge solve is the fallback for a singular system: its
+        # condition estimates are infinite, its solution finite
+        _, _, hom = ex1_case
+        system = rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), unit_kernels)
+        A = system.A.copy()
+        A[3] = A[2]
+        system.A = A
+        sol = rk.solve(system, ridge_lambda=1e-8)
+        assert sol.info["cond"] == {"pre": np.inf, "post": np.inf}
+        assert np.isfinite(sol.b1).all() and np.isfinite(sol.b2).all()
+
     def test_ridge_path_finite(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(4, 4, UNIT), unit_kernels)
         sol = rk.solve(system, ridge_lambda=1e-12)
         assert np.isfinite(sol.b1).all() and np.isfinite(sol.b2).all()
+        assert sol.info["solver"]["refinement_change"] is None
 
     def test_invalid_config(self, ex1_solution_8):
         _, system = ex1_solution_8

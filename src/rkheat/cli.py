@@ -7,11 +7,12 @@ repeats the solve over a sweep of node counts and writes convergence.csv;
 and reports their discrepancy and each one's error against the closed form.
 
 Configuration comes from subcommand flags, optionally seeded by a flat
-key=value file (--config); explicit flags override file entries.  Output is
-deterministic: rerunning a command with the same configuration reproduces
-the CSV files byte for byte.  Exit codes: 0 success, 2 usage or
-configuration error, 3 numerical failure; failures print a single JSON line
-on stderr.
+key = value file (--config) whose keys are the flag names with "_" for "-";
+the file's entries parse as flags placed before the explicit ones, so
+explicit flags win.  Output is deterministic: rerunning a command with the
+same configuration reproduces the CSV files byte for byte.  Exit codes: 0
+success, 2 usage or configuration error, 3 numerical failure; failures
+print a single JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -33,7 +35,6 @@ from .errors import (GridMismatch, KernelDomainMismatch, NonDifferentiableData,
                      SingularDiscretization, UnknownExample)
 from .fd_reference import error_vs_exact, solve_coupled_fd
 from .grids import GridField, SpaceTimeGrid
-from .optimality import residual_adjoint, residual_forward
 from .problems import builtin_example, cost_functional, homogenize
 
 __all__ = ["RunConfig", "main"]
@@ -72,14 +73,14 @@ class RunConfig:
     def __post_init__(self):
         if self.example_id not in (1, 2, 3):
             raise UsageError(f"example must be 1, 2 or 3, got {self.example_id}")
-        if self.nu <= 0:
-            raise UsageError("nu must be positive")
+        if not 0 < self.nu < math.inf:
+            raise UsageError(f"nu must be positive and finite, got {self.nu}")
         if self.n_x < 1 or self.n_t < 1 or min(self.eval_grid) < 2:
             raise UsageError("node counts must be >= 1 and eval grid >= 2 per axis")
         if self.mode not in ("direct", "picard"):
             raise UsageError(f"mode must be direct or picard, got {self.mode!r}")
-        if self.ridge_lambda < 0:
-            raise UsageError("ridge must be >= 0")
+        if not 0 <= self.ridge_lambda < math.inf:
+            raise UsageError(f"ridge must be >= 0 and finite, got {self.ridge_lambda}")
         if self.ridge_lambda > 0 and self.mode == "picard":
             raise UsageError("ridge applies to the direct solve only, not to --mode picard")
         if self.slice_times not in ("prose", "caption"):
@@ -104,8 +105,13 @@ def _parse_sweep(text: str) -> list[tuple[int, int]]:
     return sweep
 
 
-def _read_config_file(path: str) -> dict:
-    entries = {}
+def _config_tokens(path: str, args) -> list[str]:
+    """A flat key = value file as --key=value flags, "_" in a key read as "-".
+
+    A shared file's sweep and oracle_grid keys are skipped by the
+    subcommands that do not take them.
+    """
+    tokens = []
     try:
         with open(path, "r", encoding="utf-8") as f:
             for lineno, raw in enumerate(f, start=1):
@@ -114,66 +120,20 @@ def _read_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                entries[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key == "config":
+                    raise UsageError(f"{path}:{lineno}: a config file cannot name another")
+                if key in ("sweep", "oracle_grid") and not hasattr(args, key):
+                    continue
+                tokens.append(f"--{key.replace('_', '-')}={value}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return entries
-
-
-_CONFIG_KEYS = {
-    "example": ("example_id", int),
-    "nu": ("nu", float),
-    "nx": ("n_x", int),
-    "nt": ("n_t", int),
-    "eval_grid": ("eval_grid", _parse_dims),
-    "ridge": ("ridge_lambda", float),
-    "mode": ("mode", str),
-    "out": ("output_dir", str),
-    "slice_times": ("slice_times", str),
-}
+    return tokens
 
 
 def _resolve_config(args) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key in ("sweep", "oracle_grid"):
-                continue                      # handled by the subcommands
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"unknown config key {key!r}")
-            field, conv = _CONFIG_KEYS[key]
-            try:
-                values[field] = conv(raw)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad value for config key {key!r}: {raw!r}") from exc
-    overrides = {
-        "example_id": args.example,
-        "nu": args.nu,
-        "n_x": args.nx,
-        "n_t": args.nt,
-        "eval_grid": _parse_dims(args.eval_grid) if args.eval_grid else None,
-        "ridge_lambda": args.ridge,
-        "mode": args.mode,
-        "output_dir": args.out,
-        "slice_times": args.slice_times,
-    }
-    for field, value in overrides.items():
-        if value is not None:
-            values[field] = value
-    return RunConfig(**values)
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo["eval_grid"] = list(cfg.eval_grid)
-    return echo
-
-
-def _file_config_value(args, key: str):
-    if getattr(args, "config", None):
-        return _read_config_file(args.config).get(key)
-    return None
+    return RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+                        if getattr(args, f.name) is not None})
 
 
 # -- pipeline pieces -----------------------------------------------------
@@ -189,20 +149,17 @@ def _run_pipeline(cfg: RunConfig):
         sol, _ = solve_picard(system)
     else:
         sol = solve(system, ridge_lambda=cfg.ridge_lambda)
-    return problem, exact, hom, sol
+    return problem, exact, sol
 
 
-def _heldout_residuals(sol, hom, n_x: int, n_t: int) -> dict:
+def _heldout_residuals(sol, problem, n_x: int, n_t: int) -> dict:
     """Residual maxima on a midpoint grid offset from the nodes."""
-    (a, b), T = hom.base.interval, hom.base.T
+    (a, b), T = problem.interval, problem.T
     xs = a + (np.arange(1, n_x + 2) - 0.5) * (b - a) / (n_x + 1)
     ts = (np.arange(1, n_t + 2) - 0.5) * T / (n_t + 1)
-    X, Tt = np.meshgrid(xs, ts)
-    yf, pf = sol.y_field(), sol.p_field()
-    rf = residual_forward(yf, pf, hom, (X, Tt))
-    ra = residual_adjoint(yf, pf, hom, (X, Tt))
-    return {"forward_max": float(np.abs(rf).max()),
-            "adjoint_max": float(np.abs(ra).max())}
+    forward, adjoint = sol.residuals(xs, ts)
+    return {"forward_max": float(np.abs(forward).max()),
+            "adjoint_max": float(np.abs(adjoint).max())}
 
 
 def _cost(sol, problem, n: int = 100) -> float:
@@ -245,7 +202,7 @@ def cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     os.makedirs(cfg.output_dir, exist_ok=True)
     t0 = time.perf_counter()
-    problem, exact, hom, sol = _run_pipeline(cfg)
+    problem, exact, sol = _run_pipeline(cfg)
 
     ne_x, ne_t = cfg.eval_grid
     xs = np.linspace(problem.a, problem.b, ne_x)
@@ -261,11 +218,11 @@ def cmd_solve(args) -> int:
                _solution_rows(xs, slice_ts, *_grid_values(sol, exact, xs, slice_ts)))
 
     report = {
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "norms": norms,
         "cond": sol.info.get("cond"),
         "solver": sol.info.get("solver"),
-        "residuals": _heldout_residuals(sol, hom, cfg.n_x, cfg.n_t),
+        "residuals": _heldout_residuals(sol, problem, cfg.n_x, cfg.n_t),
         "j_cost": _cost(sol, problem),
         "seconds": time.perf_counter() - t0,
     }
@@ -276,18 +233,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    sweep_text = args.sweep or _file_config_value(args, "sweep") or "4x4,8x8,12x12,16x16"
-    sweep = _parse_sweep(sweep_text)
     cfg = _resolve_config(args)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     rows = []
     prev_l2 = None
     violations = []
-    for n_x, n_t in sweep:
+    for n_x, n_t in args.sweep:
         run_cfg = dataclasses.replace(cfg, n_x=n_x, n_t=n_t)
         t0 = time.perf_counter()
-        _, exact, _, sol = _run_pipeline(run_cfg)
+        _, exact, sol = _run_pipeline(run_cfg)
         seconds = time.perf_counter() - t0
         norms = error_norms(sol, exact, eval_grid=cfg.eval_grid)
         cond_est = sol.info.get("cond", {}).get("post", float("nan"))
@@ -304,7 +259,7 @@ def cmd_convergence(args) -> int:
                           "grid": f"{n_x}x{n_t}",
                           "previous": before, "current": after}),
               file=sys.stderr)
-    print(json.dumps({"sweep": [f"{nx}x{nt}" for nx, nt in sweep],
+    print(json.dumps({"sweep": [f"{nx}x{nt}" for nx, nt in args.sweep],
                       "rows": len(rows), "violations": len(violations),
                       "out": os.path.join(cfg.output_dir, "convergence.csv")}))
     return 0
@@ -312,13 +267,12 @@ def cmd_convergence(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     cfg = _resolve_config(args)
-    oracle_text = args.oracle_grid or _file_config_value(args, "oracle_grid") or "64x64"
-    oracle_dims = _parse_dims(oracle_text)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     t0 = time.perf_counter()
-    problem, exact, hom, sol = _run_pipeline(cfg)
-    grid = SpaceTimeGrid(n_x=oracle_dims[0], n_t=oracle_dims[1],
+    problem, exact, sol = _run_pipeline(cfg)
+    n_x, n_t = args.oracle_grid
+    grid = SpaceTimeGrid(n_x=n_x, n_t=n_t,
                          interval=problem.interval, horizon=problem.T)
     fd = solve_coupled_fd(problem, grid)
 
@@ -327,8 +281,8 @@ def cmd_crosscheck(args) -> int:
     disc_p = float(np.abs(Pk - fd.p.values).max())
 
     report = {
-        "config": _config_echo(cfg),
-        "oracle_grid": list(oracle_dims),
+        "config": dataclasses.asdict(cfg),
+        "oracle_grid": list(args.oracle_grid),
         "discrepancy": {"y": disc_y, "p": disc_p},
         "kernel_error": error_norms(sol, exact, eval_grid=cfg.eval_grid),
         "oracle_error": {
@@ -346,24 +300,28 @@ def cmd_crosscheck(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting; flag names are never abbreviated."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
 
 def _add_common(sub) -> None:
-    sub.add_argument("--example", type=int, choices=(1, 2, 3), default=None)
-    sub.add_argument("--nu", type=float, default=None)
-    sub.add_argument("--nx", type=int, default=None)
-    sub.add_argument("--nt", type=int, default=None)
-    sub.add_argument("--ridge", type=float, default=None)
-    sub.add_argument("--mode", choices=("direct", "picard"), default=None)
-    sub.add_argument("--eval-grid", dest="eval_grid", default=None,
-                     metavar="NXxNT")
-    sub.add_argument("--out", default=None, metavar="DIR")
-    sub.add_argument("--slice-times", dest="slice_times",
-                     choices=("prose", "caption"), default=None)
-    sub.add_argument("--config", default=None, metavar="FILE",
-                     help="flat key=value file; flags override it")
+    # dests are the RunConfig fields; RunConfig checks every value
+    sub.add_argument("--example", dest="example_id", type=int, metavar="{1,2,3}")
+    sub.add_argument("--nu", type=float)
+    sub.add_argument("--nx", dest="n_x", type=int, metavar="NX")
+    sub.add_argument("--nt", dest="n_t", type=int, metavar="NT")
+    sub.add_argument("--ridge", dest="ridge_lambda", type=float, metavar="RIDGE")
+    sub.add_argument("--mode", metavar="{direct,picard}")
+    sub.add_argument("--eval-grid", type=_parse_dims, metavar="NXxNT")
+    sub.add_argument("--out", dest="output_dir", metavar="DIR")
+    sub.add_argument("--slice-times", metavar="{prose,caption}")
+    sub.add_argument("--config", metavar="FILE",
+                     help="flat key = value file; flags override it")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -378,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_conv = subs.add_parser("convergence", help="node-count sweep")
     _add_common(p_conv)
-    p_conv.add_argument("--sweep", default=None,
+    p_conv.add_argument("--sweep", type=_parse_sweep, default="4x4,8x8,12x12,16x16",
                         metavar="N1xM1,N2xM2,...",
                         help="comma-separated grid sizes (at least two)")
     p_conv.set_defaults(func=cmd_convergence)
@@ -386,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross = subs.add_parser("crosscheck",
                               help="kernel solver vs finite differences")
     _add_common(p_cross)
-    p_cross.add_argument("--oracle-grid", dest="oracle_grid", default=None,
+    p_cross.add_argument("--oracle-grid", type=_parse_dims, default="64x64",
                          metavar="NXxNT")
     p_cross.set_defaults(func=cmd_crosscheck)
     return parser
@@ -400,8 +358,17 @@ def _fail(code: int, exc: Exception) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # file entries go after the subcommand and before the flags,
+            # so that a flag given on both wins
+            tokens = _config_tokens(args.config, args)
+            try:
+                args = parser.parse_args(argv[:1] + tokens + argv[1:])
+            except UsageError as exc:
+                raise UsageError(f"{args.config}: {exc}") from exc
         return args.func(args)
     except _USAGE_ERRORS as exc:
         return _fail(2, exc)

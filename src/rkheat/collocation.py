@@ -36,7 +36,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import KernelDomainMismatch, NumericallySingular, OutOfDomain
-from .fields import ScalarField
 from .grids import trapezoid_2d
 from .kernels import SpaceSpec, TensorKernel, build_kernel, kernel_matrix
 from .optimality import ADJOINT, FORWARD
@@ -132,7 +131,7 @@ def standard_kernels(interval, horizon):
 # Peak bytes of a direct solve as a multiple of |A| = (2n)^2 * 8 B, rounded
 # up to a half: A plus Aeq, factored in place, plus lu_factor's finiteness
 # mask or a block of rows, measured with tracemalloc at 2.13 |A| at 32^2 and
-# 48^2 nodes (assembly alone peaks at 1.5-1.6 |A|, a ridge solve at 5 |A|).
+# 48^2 nodes (assembly alone peaks at 1.5-1.6 |A|, a ridge solve at 3 |A|).
 _PEAK_PER_A = 2.5
 
 
@@ -214,19 +213,19 @@ class _TrialSpace:
         B[self.it, self.ix] = b
         return B
 
-    def points(self, b, X, T, dx=0, dt=0):
-        """sum_j b_j d^dx d^dt psi_j at the points (X, T) of equal shape."""
+    def points(self, b, X, T):
+        """sum_j b_j psi_j at the points (X, T) of equal shape."""
         B = self._coefficient_grid(b)
         Xf = np.asarray(X, dtype=float).ravel()
         Tf = np.asarray(T, dtype=float).ravel()
         vals = sum(((Tm @ B) * Sm).sum(axis=1)
-                   for Sm, Tm in self._factors(Xf, Tf, ((1.0, dx, dt),)))
+                   for Sm, Tm in self._factors(Xf, Tf, IDENTITY))
         return vals.reshape(np.shape(X)) if np.shape(X) else float(vals[0])
 
-    def grid(self, b, xs, ts):
-        """sum_j b_j psi_j on the tensor grid, t-major (len(ts), len(xs))."""
+    def grid(self, b, xs, ts, op=IDENTITY):
+        """sum_j b_j op psi_j on the tensor grid, t-major (len(ts), len(xs))."""
         B = self._coefficient_grid(b)
-        return sum(Tm @ B @ Sm.T for Sm, Tm in self._factors(xs, ts, IDENTITY))
+        return sum(Tm @ B @ Sm.T for Sm, Tm in self._factors(xs, ts, op))
 
 
 def _trial_spaces(kernels, nodes: NodeSet):
@@ -408,9 +407,12 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
         del factors, lu              # before Aeq is rebuilt, so the two never coexist
         Aeq = A / d[:, None]
         lam = ridge_lambda * np.linalg.norm(Aeq, "fro") ** 2
-        G = Aeq.T @ Aeq + lam * np.eye(Aeq.shape[0])
+        G = Aeq.T @ Aeq
+        G.flat[::len(G) + 1] += lam
+        rhs = Aeq.T @ Ceq
+        del Aeq                      # G is then the only n x n array beside A
         try:
-            b = scipy.linalg.solve(G, Aeq.T @ Ceq, assume_a="pos")
+            b = scipy.linalg.solve(G, rhs, assume_a="pos", overwrite_a=True)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise NumericallySingular(f"regularized solve failed: {exc}") from exc
     if not np.isfinite(b).all():
@@ -512,19 +514,24 @@ class Solution:
         y_tot = y_h + np.asarray(self.hom.y_hat(X, T), dtype=float)
         return y_tot, p, p / self.hom.base.nu
 
-    def _field(self, space, b) -> ScalarField:
-        return ScalarField(
-            lambda x, t: space.points(b, x, t),
-            partials={(dx, dt): (lambda x, t, dx=dx, dt=dt: space.points(b, x, t, dx, dt))
-                      for dx in range(3) for dt in range(2) if (dx, dt) != (0, 0)})
+    def residuals(self, xs, ts):
+        """Forward and adjoint PDE residuals on the tensor grid, t-major.
 
-    def y_field(self) -> ScalarField:
-        """Homogenized state as a field with analytic derivatives."""
-        return self._field(self._spaces[0], self.b1)
-
-    def p_field(self) -> ScalarField:
-        """Adjoint as a field with analytic derivatives."""
-        return self._field(self._spaces[1], self.b2)
+        L1 y - (p/nu + G1) and L2 p - (y_d - (y + y_hat)) for the
+        homogenized state y, the values rk.residual_forward and
+        rk.residual_adjoint give for the same pair.
+        """
+        self._check_domain(xs, ts)
+        hom, (state, adjoint) = self.hom, self._spaces
+        X, T = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
+        y = state.grid(self.b1, xs, ts)
+        p = adjoint.grid(self.b2, xs, ts)
+        r_forward = state.grid(self.b1, xs, ts, L1) - (
+            p / hom.base.nu + np.asarray(hom.G1(X, T), dtype=float))
+        r_adjoint = adjoint.grid(self.b2, xs, ts, L2) - (
+            np.asarray(hom.base.y_d(X, T), dtype=float)
+            - (y + np.asarray(hom.y_hat(X, T), dtype=float)))
+        return r_forward, r_adjoint
 
 
 def evaluate(sol: Solution, x: float, t: float):

@@ -56,6 +56,9 @@ class ControlProblem:
     y0: object
 
     def __post_init__(self):
+        for name in ("a", "b", "T", "nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.a < self.b:
             raise ValueError("need a < b")
         if self.T <= 0:

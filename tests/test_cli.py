@@ -40,7 +40,7 @@ class TestSolveCommand:
         # the norms come from the arrays solution.csv is written from
         cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
         report = json.loads(capsys.readouterr().out)
-        _, exact, _, sol = cli._run_pipeline(cli.RunConfig(n_x=4, n_t=4, eval_grid=(21, 21)))
+        _, exact, sol = cli._run_pipeline(cli.RunConfig(n_x=4, n_t=4, eval_grid=(21, 21)))
         assert report["norms"] == collocation.error_norms(sol, exact, eval_grid=(21, 21))
 
     def test_solution_header_and_order(self, tmp_path):
@@ -100,6 +100,33 @@ class TestSolveCommand:
         assert report["config"]["nu"] == 0.1          # flag wins over file
         assert report["config"]["n_x"] == 3
 
+    def test_config_file_matches_flags(self, tmp_path, capsys):
+        flags = ["--example", "2", "--nu", "0.05", "--nx", "3", "--nt", "2",
+                 "--eval-grid", "11x9", "--ridge", "1e-12", "--mode", "direct",
+                 "--slice-times", "caption", "--out", str(tmp_path)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("example = 2\nnu = 0.05\nnx = 3\nnt = 2\neval_grid = 11x9\n"
+                       "ridge = 1e-12\nmode = direct\nslice_times = caption\n"
+                       f"out = {tmp_path}\n")
+        configs = []
+        for argv in (["solve"] + flags, ["solve", "--config", str(cfg)]):
+            assert cli.main(argv) == 0
+            configs.append(json.loads((tmp_path / "report.json").read_text())["config"])
+        assert configs[0] == configs[1]
+        assert configs[0]["eval_grid"] == [11, 9]
+
+    def test_config_keys_of_other_subcommands_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("nx = 4\nnt = 4\neval_grid = 11x11\nsweep = 2x2,3x3\n"
+                       "oracle_grid = 12x12\n")
+        common = ["--config", str(cfg), "--out", str(tmp_path)]
+        assert cli.main(["solve"] + common) == 0
+        assert cli.main(["convergence"] + common) == 0
+        assert len(read_csv(tmp_path / "convergence.csv")) == 2
+        capsys.readouterr()
+        assert cli.main(["crosscheck"] + common) == 0
+        assert json.loads(capsys.readouterr().out)["oracle_grid"] == [12, 12]
+
 
 class TestCsvFormat:
     HEADER = ["n_total", "value", "other"]
@@ -136,6 +163,39 @@ class TestFailureModes:
         rc = cli.main(["solve", "--config", str(cfg)])
         assert rc == 2
         assert "frobnicate" in json.loads(capsys.readouterr().err.strip())["reason"]
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_abbreviated_name_rejected(self, tmp_path, capsys, via_config):
+        argv = ["--ex", "2"]
+        if via_config:
+            (tmp_path / "run.cfg").write_text("ex = 2\n")
+            argv = ["--config", str(tmp_path / "run.cfg")]
+        rc = cli.main(["solve"] + argv + ["--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "UsageError"
+        assert "--ex" in err["reason"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("line,name", [("nx = four", "--nx"), ("mode = picrad", "mode"),
+                                           ("config = other.cfg", "config")])
+    def test_bad_config_value(self, tmp_path, capsys, line, name):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "UsageError"
+        assert name in err["reason"]
+
+    @pytest.mark.parametrize("argv", [["--nu", "nan"], ["--nu", "inf"], ["--ridge", "nan"]],
+                             ids=["nu-nan", "nu-inf", "ridge-nan"])
+    def test_nonfinite_parameter_named(self, tmp_path, capsys, argv):
+        rc = cli.main(SOLVE_ARGS + argv + ["--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "UsageError"
+        assert err["reason"].startswith(argv[0][2:] + " must be")
 
     def test_single_point_sweep_rejected(self, capsys):
         rc = cli.main(["convergence", "--sweep", "4x4"])

@@ -129,9 +129,7 @@ class TestAssemble:
             sol = rk.solve(rk.assemble(hom, nodes, unit_kernels))
             xs = 0.5 * (np.arange(1, n + 2) - 0.5) * 2.0 / (n + 1)
             ts = 0.5 * (np.arange(1, n + 2) - 0.5) * 2.0 / (n + 1)
-            X, T = np.meshgrid(xs, ts)
-            rf = rk.residual_forward(sol.y_field(), sol.p_field(), hom, (X, T))
-            ra = rk.residual_adjoint(sol.y_field(), sol.p_field(), hom, (X, T))
+            rf, ra = sol.residuals(xs, ts)
             maxima.append(max(np.abs(rf).max(), np.abs(ra).max()))
         assert maxima[1] < maxima[0]
 
@@ -256,6 +254,18 @@ class TestSolve:
             tracemalloc.stop()
         assert peak <= 1.3 * system.A.nbytes
 
+    def test_ridge_extra_memory_two_matrices(self):
+        # beyond A: Aeq and G = Aeq^T Aeq, G factored in place once Aeq is
+        # freed; an identity or a sum temporary for the ridge makes it 4 |A|
+        _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
+        tracemalloc.start()
+        try:
+            rk.solve(system, ridge_lambda=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * system.A.nbytes
+
     def test_system_unchanged(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(4, 4, UNIT), unit_kernels)
@@ -368,17 +378,34 @@ class TestEvaluate:
                 assert P[j, i] == pytest.approx(p1, rel=1e-10, abs=1e-14)
                 assert U[j, i] == pytest.approx(u1, rel=1e-10, abs=1e-12)
 
-    def test_field_derivatives_match_finite_differences(self, ex1_solution_8):
-        sol, _ = ex1_solution_8
-        yf = sol.y_field()
-        pf = sol.p_field()
-        x0, t0 = 0.37, 0.53
-        h = 1e-5
-        for f in (yf, pf):
-            fd_t = (f(x0, t0 + h) - f(x0, t0 - h)) / (2 * h)
-            assert f.partial(x0, t0, 0, 1) == pytest.approx(fd_t, rel=1e-5, abs=1e-9)
-            fd_xx = (f(x0 + h, t0) - 2 * f(x0, t0) + f(x0 - h, t0)) / h ** 2
-            assert f.partial(x0, t0, 2, 0) == pytest.approx(fd_xx, rel=1e-3, abs=1e-6)
+    @pytest.mark.parametrize("layout", ["grid", "jittered"])
+    def test_residuals_match_residual_functions(self, layout, unit_kernels):
+        # non-zero boundary and initial data, so that y_hat and G1 enter
+        problem = rk.ControlProblem(a=0.0, b=1.0, T=1.0, nu=1e-2,
+                                    y_d=lambda x, t: np.cos(x + t), h1=np.sin,
+                                    h2=lambda t: np.asarray(t, dtype=float) ** 2,
+                                    y0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)))
+        hom = rk.homogenize(problem)
+        sol = rk.solve(rk.assemble(hom, node_layout(layout, 6), unit_kernels))
+        K1, K2 = unit_kernels
+
+        def series(coefs, kind, kernel):
+            # the truncated series with exact partials, one trial function at a time
+            psi = [BasisFunction(tuple(c), kind, kernel) for c in sol.node_set.nodes]
+
+            def partial(dx, dt):
+                return lambda x, t: sum(b * f.evaluate(x, t, dx, dt) for b, f in zip(coefs, psi))
+            return rk.ScalarField(partial(0, 0), {(0, 1): partial(0, 1), (2, 0): partial(2, 0)})
+
+        y = series(sol.b1, BasisKind.STATE, K1)
+        p = series(sol.b2, BasisKind.ADJOINT, K2)
+        xs = np.array([0.05, 0.31, 0.62, 0.97])
+        ts = np.array([0.02, 0.45, 0.88])
+        X, T = np.meshgrid(xs, ts)
+        forward, adjoint = sol.residuals(xs, ts)
+        assert forward.shape == adjoint.shape == X.shape
+        np.testing.assert_allclose(forward, rk.residual_forward(y, p, hom, (X, T)), rtol=1e-10)
+        np.testing.assert_allclose(adjoint, rk.residual_adjoint(y, p, hom, (X, T)), rtol=1e-10)
 
 
 class TestErrorNorms:

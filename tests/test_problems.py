@@ -29,6 +29,12 @@ class TestControlProblem:
         with pytest.raises(ValueError):
             make_problem(nu=0.0)
 
+    @pytest.mark.parametrize("name", ["a", "b", "T", "nu"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_parameter_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_problem(**{name: value})
+
     def test_corner_mismatch_warns(self):
         with pytest.warns(UserWarning):
             make_problem(y0=lambda x: np.ones_like(np.asarray(x, dtype=float)))

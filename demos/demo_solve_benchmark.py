@@ -23,7 +23,8 @@ def main():
     nodes = rk.generate_nodes(8, 8, (problem.interval, problem.T))
     system = rk.assemble(hom, nodes, kernels)
     sol = rk.solve(system)
-    print(f"Assembled {system.A.shape[0]}x{system.A.shape[1]} system; "
+    size = len(system.C)
+    print(f"Assembled {size}x{size} system; "
           f"cond_1 before/after equilibration: "
           f"{sol.info['cond']['pre']:.3e} / {sol.info['cond']['post']:.3e}")
     print(f"Max collocation residual at the nodes: "

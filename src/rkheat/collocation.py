@@ -20,9 +20,12 @@ to the left-hand side, giving one 2n x 2n block system
 Every 1-D factor of psi_j depends only on the node's x or t coordinate,
 so each block, each point value and each grid of values is a sum of
 products of small 1-D kernel derivative matrices on the node set's
-distinct coordinates; _TrialSpace builds them, one per field.  All
-second-argument derivatives are exact (implicit differentiation in the
-kernel module); no finite differences enter the matrix.
+distinct coordinates; _TrialSpace builds them, one per field.  On a
+tensor node set each block is exactly a sum of Kronecker products of
+those matrices, and the system keeps that form instead of the dense
+matrix.  All second-argument derivatives are exact (implicit
+differentiation in the kernel module); no finite differences enter the
+matrix.
 """
 
 from __future__ import annotations
@@ -95,15 +98,103 @@ def generate_nodes(n_x: int, n_t: int, domain) -> NodeSet:
     return NodeSet(nodes=nodes, generation=gen)
 
 
-@dataclass
-class CollocationSystem:
-    """Dense block system A b = C for the coupled pair."""
+class _KroneckerBlocks:
+    """The four n x n blocks of A as sums of Kronecker products of 1-D factors.
 
-    A: np.ndarray
+    On a t-major tensor node set node r sits at (ux[r % nx], ut[r // nx]),
+    so block (p, q) of A is scales[p][q] times the sum of kron(T, S) over
+    its factor pairs pairs[p][q], summed in list order, the same products
+    in the same order as a gather of the full block.
+    """
+
+    def __init__(self, pairs, scales, nt: int, nx: int):
+        self.pairs, self.scales, self.nt, self.nx = pairs, scales, nt, nx
+
+    def transposed(self) -> "_KroneckerBlocks":
+        """The same form of A^T: blocks (q, p) with transposed factors."""
+        return _KroneckerBlocks(
+            [[[(S.T, T.T) for S, T in self.pairs[q][p]] for q in (0, 1)] for p in (0, 1)],
+            [[self.scales[q][p] for q in (0, 1)] for p in (0, 1)], self.nt, self.nx)
+
+    def rows(self, i: int, j: int, out: np.ndarray) -> None:
+        """Write rows i..j-1 of A into the C-contiguous out."""
+        n = self.nt * self.nx
+        for p in (0, 1):
+            lo, hi = max(i, p * n), min(j, p * n + n)
+            if lo >= hi:
+                continue
+            it, ix = np.divmod(np.arange(lo - p * n, hi - p * n), self.nx)
+            for q in (0, 1):
+                block = out[lo - i:hi - i, q * n:q * n + n].reshape(hi - lo, self.nt, self.nx)
+                self._block_rows(self.pairs[p][q], it, ix, block)
+                if self.scales[p][q] != 1.0:
+                    block *= self.scales[p][q]
+
+    @staticmethod
+    def _block_rows(pairs, it, ix, out):
+        """out[r] = sum over pairs of the outer product T[it[r]] x S[ix[r]].
+
+        The products of all but the first pair go through a buffer of at
+        most _PRODUCT_ROWS rows, so a block of rows needs no second one.
+        """
+        buffer = np.empty((min(_PRODUCT_ROWS, len(it)),) + out.shape[1:])
+        for r in range(0, len(it), _PRODUCT_ROWS):
+            rt, rx, dest = it[r:r + _PRODUCT_ROWS], ix[r:r + _PRODUCT_ROWS], out[r:r + _PRODUCT_ROWS]
+            for k, (S, T) in enumerate(pairs):
+                product = dest if k == 0 else buffer[:len(rt)]
+                np.multiply(T[rt][:, :, None], S[rx][:, None, :], out=product)
+                if k:
+                    dest += product
+
+
+@dataclass(frozen=True)
+class CollocationSystem:
+    """Block system A b = C for the coupled pair.
+
+    A is kept in one of two forms.  On a full t-major tensor node set, as
+    generate_nodes makes, it is its 1-D factor pairs (factors), ~200 KB at
+    32 x 32 nodes where A takes 32 MB.  On any other node set it is the
+    dense array (dense); there the factors are n x n each, and the 24 of
+    them would take 6 |A|.  rows(i, j) builds rows of A in either form,
+    bitwise equal, and solve reads A only through blocks of rows and
+    columns.  The A property
+    returns the dense array, or on tensor node sets builds the full
+    matrix anew on each access.
+    """
+
     C: np.ndarray
     node_set: NodeSet
     kernels: tuple[TensorKernel, TensorKernel]
     hom: HomogenizedProblem
+    dense: np.ndarray | None = None
+    factors: _KroneckerBlocks | None = None
+
+    @property
+    def A(self) -> np.ndarray:
+        """The 2n x 2n matrix; from factor pairs, a new array on each access."""
+        return self.dense if self.dense is not None else self.rows(0, len(self.C))
+
+    def rows(self, i: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows i..j-1 of A, written into out (C-contiguous) when given."""
+        if not 0 <= i <= j <= len(self.C):
+            raise ValueError(f"row range {i}:{j} outside 0:{len(self.C)}")
+        if out is None:
+            out = np.empty((j - i, len(self.C)))
+        elif out.shape != (j - i, len(self.C)) or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous array of the rows' shape")
+        if self.dense is not None:
+            out[...] = self.dense[i:j]
+        else:
+            self.factors.rows(i, j, out)
+        return out
+
+    def _columns(self, i: int, j: int, out: np.ndarray) -> np.ndarray:
+        """Columns i..j-1 of A, written as rows of A^T into out."""
+        if self.dense is not None:
+            out[...] = self.dense[:, i:j].T
+        else:
+            self.factors.transposed().rows(i, j, out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -128,11 +219,13 @@ def standard_kernels(interval, horizon):
     return TensorKernel(spatial, state_t), TensorKernel(spatial, adjoint_t)
 
 
-# Peak bytes of a direct solve as a multiple of |A| = (2n)^2 * 8 B, rounded
-# up to a half: A plus Aeq, factored in place, plus lu_factor's finiteness
-# mask or a block of rows, measured with tracemalloc at 2.13 |A| at 32^2 and
-# 48^2 nodes (assembly alone peaks at 1.5-1.6 |A|, a ridge solve at 3 |A|).
-_PEAK_PER_A = 2.5
+# Peak bytes of a solve as a multiple of |A| = (2n)^2 * 8 B, keyed on
+# whether A is kept as factor pairs (tensor node sets).  The worst path is
+# the ridge solve, which holds Aeq and G = Aeq^T Aeq at once: 2 |A|, or
+# 3 |A| beside a dense A (tracemalloc: 2.00 and 3.00 at 24^2 and 32^2
+# nodes).  The direct solve holds Aeq and a block of rows: 1.14-1.26 |A|,
+# or 2.13-2.23 |A| with a dense A.
+_PEAK_PER_A = {True: 2.0, False: 3.0}
 
 
 def _physical_memory():
@@ -144,26 +237,36 @@ def _physical_memory():
     return pages * size if pages > 0 and size > 0 else None
 
 
-def _check_footprint(n: int) -> None:
+def _check_footprint(n: int, tensor: bool) -> None:
     """Refuse n nodes whose dense solve would not fit in physical memory."""
     budget = _physical_memory()
-    estimate = _PEAK_PER_A * (2 * n) ** 2 * 8
+    estimate = _PEAK_PER_A[tensor] * (2 * n) ** 2 * 8
     if budget is not None and estimate > budget:
         raise ValueError(f"{n} nodes need an estimated {estimate / 2**20:.0f} MB "
                          f"for the dense {2 * n}x{2 * n} solve, more than the "
                          f"{budget / 2**20:.0f} MB of physical memory")
 
 
-def _kernel_columns(kernel, xs, coords, dx, dy):
-    """kernel_matrix(kernel, xs, coords, dx, dy).
+def _kernel_columns(kernel, xs, coords, dx, dy, memo=None):
+    """kernel_matrix(kernel, xs, coords, dx, dy), built once per memo.
 
     On the coordinates themselves (assembly) a second-argument derivative
     is the transpose of a first-argument one, by symmetry of the kernel,
     so A has one fixed rounding: cond(A) ~1e13 amplifies its last bits.
+    A memo dict serves one call that applies several operators at the same
+    xs and coords, and is dropped with it; it holds the kernel it is keyed
+    on, so no key can be reused for another kernel.
     """
+    key = (kernel, dx, dy)
+    if memo is not None and key in memo:
+        return memo[key]
     if xs is coords and dy > dx:
-        return kernel_matrix(kernel, coords, coords, dy, dx).T
-    return kernel_matrix(kernel, xs, coords, dx, dy)
+        columns = kernel_matrix(kernel, coords, coords, dy, dx).T
+    else:
+        columns = kernel_matrix(kernel, xs, coords, dx, dy)
+    if memo is not None:
+        memo[key] = columns
+    return columns
 
 
 class _TrialSpace:
@@ -172,15 +275,21 @@ class _TrialSpace:
     sign is the time sign of the field's operator (FORWARD for the state,
     ADJOINT for the adjoint).  The node set's distinct x and t coordinates
     ux, ut carry the 1-D kernel columns; the inverse indices ix, it map
-    each node back to them.  Operators are tuples of (coef, dx, dt) terms.
+    each node back to them.  tensor says whether the nodes are the full
+    t-major tensor grid ut x ux.  Operators are tuples of (coef, dx, dt)
+    terms; a memo dict, where given, shares 1-D kernel matrices between
+    the calls of one evaluation.
     """
 
     def __init__(self, kernel: TensorKernel, sign: float, nodes: NodeSet):
         self.kernel, self.sign = kernel, sign
         self.ux, self.ix = np.unique(nodes.nodes[:, 0], return_inverse=True)
         self.ut, self.it = np.unique(nodes.nodes[:, 1], return_inverse=True)
+        n, nx = len(nodes), len(self.ux)
+        self.tensor = (len(self.ut) * nx == n
+                       and np.array_equal(self.it * nx + self.ix, np.arange(n)))
 
-    def _factors(self, xs, ts, op):
+    def _factors(self, xs, ts, op, memo=None):
         """1-D factor pairs (S, T) of op applied to the trial functions.
 
         Rows of S belong to xs and rows of T to ts, columns to the distinct
@@ -196,8 +305,12 @@ class _TrialSpace:
         S, T = self.kernel.spatial, self.kernel.temporal
         for coef, dx, dt in op:
             for c, sy, ty in ((coef * self.sign, 0, 1), (coef, 2, 0)):
-                yield (c * _kernel_columns(S, xs, self.ux, dx, sy),
-                       _kernel_columns(T, ts, self.ut, dt, ty))
+                yield (c * _kernel_columns(S, xs, self.ux, dx, sy, memo),
+                       _kernel_columns(T, ts, self.ut, dt, ty, memo))
+
+    def pairs(self, op, memo=None):
+        """The factor pairs of op psi_j at the nodes: one block of A."""
+        return list(self._factors(self.ux, self.ut, op, memo))
 
     def assemble(self, op, out):
         """out[i, j] += op psi_j at node i, gathered from the 1-D factors."""
@@ -222,10 +335,10 @@ class _TrialSpace:
                    for Sm, Tm in self._factors(Xf, Tf, IDENTITY))
         return vals.reshape(np.shape(X)) if np.shape(X) else float(vals[0])
 
-    def grid(self, b, xs, ts, op=IDENTITY):
+    def grid(self, b, xs, ts, op=IDENTITY, memo=None):
         """sum_j b_j op psi_j on the tensor grid, t-major (len(ts), len(xs))."""
         B = self._coefficient_grid(b)
-        return sum(Tm @ B @ Sm.T for Sm, Tm in self._factors(xs, ts, op))
+        return sum(Tm @ B @ Sm.T for Sm, Tm in self._factors(xs, ts, op, memo))
 
 
 def _trial_spaces(kernels, nodes: NodeSet):
@@ -243,7 +356,8 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
         raise KernelDomainMismatch("state and adjoint kernels use different spatial spaces")
 
     n = len(nodes)
-    _check_footprint(n)
+    state, adjoint = _trial_spaces(kernels, nodes)
+    _check_footprint(n, state.tensor)
     xn = nodes.nodes[:, 0]
     tn = nodes.nodes[:, 1]
     g1 = np.asarray(hom.G1(xn, tn), dtype=float)
@@ -256,37 +370,53 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
         if bad:
             raise ValueError(f"problem data {name} is not finite at {bad} of {n} nodes")
 
-    state, adjoint = _trial_spaces(kernels, nodes)
+    # -(1/nu) psi_j2, scaled once after the sum rather than per 1-D factor:
+    # at cond ~1e13 a last-bit change in A moves b by ~1e-8
+    scale = -1.0 / base.nu
+    if state.tensor:
+        memo = {}
+        pairs = [[state.pairs(L1, memo), adjoint.pairs(IDENTITY, memo)],
+                 [state.pairs(IDENTITY, memo), adjoint.pairs(L2, memo)]]
+        factors = _KroneckerBlocks(pairs, [[1.0, scale], [1.0, 1.0]],
+                                   len(state.ut), len(state.ux))
+        return CollocationSystem(C, nodes, (K1, K2), hom, factors=factors)
     A = np.zeros((2 * n, 2 * n))
     state.assemble(L1, A[:n, :n])
     adjoint.assemble(IDENTITY, A[:n, n:])
-    # -(1/nu) psi_j2, scaled once after the sum rather than per 1-D factor:
-    # at cond ~1e13 a last-bit change in A moves b by ~1e-8
-    A[:n, n:] *= -1.0 / base.nu
+    A[:n, n:] *= scale
     state.assemble(IDENTITY, A[n:, :n])
     adjoint.assemble(L2, A[n:, n:])
-    return CollocationSystem(A=A, C=C, node_set=nodes, kernels=(K1, K2), hom=hom)
+    return CollocationSystem(C, nodes, (K1, K2), hom, dense=A)
 
 
-# rows of A per block in the passes that would otherwise need a full
-# |A| or Aeq temporary next to A and Aeq's factors; each pass reuses one
+# rows of A per block in the passes over A or Aeq; each pass reuses one
 # block buffer, since a fresh multi-MB block per step is paged in anew
 _ROW_BLOCK = 256
+# rows per product buffer when a block of rows is built from factor pairs
+_PRODUCT_ROWS = 32
 
 
-def _row_scales(A):
+def _row_blocks(system):
+    """(i, j, rows i..j-1 of A) for each block of rows, in one reused buffer."""
+    size = len(system.C)
+    buffer = np.empty((min(_ROW_BLOCK, size), size))
+    for i in range(0, size, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, size)
+        yield i, j, system.rows(i, j, buffer[:j - i])
+
+
+def _row_scales(system):
     """Row scales d = max_j |A_ij| and the norms of A that need |A|.
 
     One pass over blocks of rows; returns d, ||A||_1, ||Aeq||_1 and
     ||A||_inf, where Aeq = D^-1 A is the row-equilibrated matrix.
     """
-    d = np.empty(A.shape[0])
-    cols, cols_eq = np.zeros(A.shape[1]), np.zeros(A.shape[1])
+    size = len(system.C)
+    d = np.empty(size)
+    cols, cols_eq = np.zeros(size), np.zeros(size)
     norm_inf = 0.0
-    buffer = np.empty((min(_ROW_BLOCK, len(d)), A.shape[1]))
-    for i in range(0, len(d), _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, len(d))
-        block = np.abs(A[i:j], out=buffer[:j - i])
+    for i, j, block in _row_blocks(system):
+        np.abs(block, out=block)
         scale = d[i:j] = block.max(axis=1)
         if not np.all(scale > 0):
             raise NumericallySingular("system matrix has an identically zero row")
@@ -297,20 +427,40 @@ def _row_scales(A):
     return d, float(cols.max()), float(cols_eq.max()), float(norm_inf)
 
 
-def _equilibrated_residual(A, d, Ceq, b):
-    """Ceq - Aeq @ b, with the rows of Aeq = A / d rebuilt block by block.
+def _equilibrated(system, d, order):
+    """Aeq = A / d[:, None] in the given memory order, built block by block.
 
-    Each row's product is the one a full Aeq @ b forms, so b is bitwise
-    the b of a solve that keeps Aeq.  (C - A @ b) / d is not: at cond
-    ~1e13 its last-bit changes move b by ~1e-8.
+    A Fortran-ordered Aeq is filled with columns of A, which are contiguous
+    there: writing rows of A into it would be a strided transposing copy.
     """
-    r = np.empty_like(Ceq)
-    buffer = np.empty((min(_ROW_BLOCK, len(d)), len(b)))
-    for i in range(0, len(d), _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, len(d))
-        block = np.divide(A[i:j], d[i:j, None], out=buffer[:j - i])
-        r[i:j] = Ceq[i:j] - block @ b
-    return r
+    size = len(d)
+    Aeq = np.empty((size, size), order=order)
+    fortran = order == "F"
+    target = Aeq.T if fortran else Aeq         # C-contiguous either way
+    for i in range(0, size, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, size)
+        if fortran:
+            system._columns(i, j, target[i:j])
+            target[i:j] /= d
+        else:
+            system.rows(i, j, target[i:j])
+            target[i:j] /= d[i:j, None]
+    return Aeq
+
+
+def _product(system, b, d=None):
+    """A @ b, or (A / d[:, None]) @ b, with the rows of A rebuilt block by block.
+
+    Rows are divided before the product, as a solve that keeps Aeq forms
+    Aeq @ b; (A @ b) / d differs in the last bits, and at cond ~1e13 that
+    moves b by ~1e-8.
+    """
+    out = np.empty(len(b))
+    for i, j, block in _row_blocks(system):
+        if d is not None:
+            block /= d[i:j, None]
+        out[i:j] = block @ b
+    return out
 
 
 def _inverse_norm_1(apply, apply_t, n):
@@ -353,6 +503,8 @@ def _round3(cond):
 def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
     """Solve the collocation system with one LU factorization.
 
+    A is read in blocks of rows and columns only, so on a tensor node set,
+    where A is kept as factor pairs, the solve holds one 2n x 2n array.
     Rows are scaled by their max magnitude, A = D Aeq, and Aeq is factored
     in place by LU with partial pivoting.  info["cond"] holds 1-norm
     condition estimates of A ("pre") and Aeq ("post"), both from Aeq's
@@ -368,14 +520,11 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
     """
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
-    A, C = system.A, system.C
-    d, norm_1, norm_1_eq, norm_inf = _row_scales(A)
+    C = system.C
+    d, norm_1, norm_1_eq, norm_inf = _row_scales(system)
     Ceq = C / d
-    # Fortran order, or lu_factor copies Aeq whatever overwrite_a says;
-    # numpy's blocked transposing copy and an in-place divide are faster
-    # than one np.divide into a Fortran-ordered output
-    Aeq = np.array(A, dtype=float, order="F")
-    Aeq /= d[:, None]
+    # Fortran order, or lu_factor copies Aeq whatever overwrite_a says
+    Aeq = _equilibrated(system, d, "F")
     try:
         with warnings.catch_warnings():
             # an exactly singular matrix warns before we can inspect the
@@ -401,16 +550,16 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
 
     if ridge_lambda == 0.0:
         b = scipy.linalg.lu_solve(factors, Ceq)
-        db = scipy.linalg.lu_solve(factors, _equilibrated_residual(A, d, Ceq, b))
+        db = scipy.linalg.lu_solve(factors, Ceq - _product(system, b, d))
         b = b + db
     else:
         del factors, lu              # before Aeq is rebuilt, so the two never coexist
-        Aeq = A / d[:, None]
+        Aeq = _equilibrated(system, d, "C")
         lam = ridge_lambda * np.linalg.norm(Aeq, "fro") ** 2
         G = Aeq.T @ Aeq
         G.flat[::len(G) + 1] += lam
         rhs = Aeq.T @ Ceq
-        del Aeq                      # G is then the only n x n array beside A
+        del Aeq                      # G is then the only 2n x 2n array
         try:
             b = scipy.linalg.solve(G, rhs, assume_a="pos", overwrite_a=True)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -419,7 +568,7 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
         raise NumericallySingular("solution vector is not finite")
 
     n = len(system.node_set)
-    residual_max = float(np.abs(A @ b - C).max())
+    residual_max = float(np.abs(_product(system, b) - C).max())
     b_max = float(np.abs(b).max())
     scale = norm_inf * b_max + float(np.abs(C).max())
     change = None
@@ -509,8 +658,9 @@ class Solution:
         """(y_total, p, u) arrays on the tensor grid, t-major."""
         self._check_domain(xs, ts)
         X, T = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
-        y_h = self._spaces[0].grid(self.b1, xs, ts)
-        p = self._spaces[1].grid(self.b2, xs, ts)
+        memo = {}
+        y_h = self._spaces[0].grid(self.b1, xs, ts, memo=memo)
+        p = self._spaces[1].grid(self.b2, xs, ts, memo=memo)
         y_tot = y_h + np.asarray(self.hom.y_hat(X, T), dtype=float)
         return y_tot, p, p / self.hom.base.nu
 
@@ -519,16 +669,18 @@ class Solution:
 
         L1 y - (p/nu + G1) and L2 p - (y_d - (y + y_hat)) for the
         homogenized state y, the values rk.residual_forward and
-        rk.residual_adjoint give for the same pair.
+        rk.residual_adjoint give for the same pair.  Each distinct 1-D
+        kernel matrix is built once per call.
         """
         self._check_domain(xs, ts)
         hom, (state, adjoint) = self.hom, self._spaces
         X, T = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
-        y = state.grid(self.b1, xs, ts)
-        p = adjoint.grid(self.b2, xs, ts)
-        r_forward = state.grid(self.b1, xs, ts, L1) - (
+        memo = {}
+        y = state.grid(self.b1, xs, ts, memo=memo)
+        p = adjoint.grid(self.b2, xs, ts, memo=memo)
+        r_forward = state.grid(self.b1, xs, ts, L1, memo) - (
             p / hom.base.nu + np.asarray(hom.G1(X, T), dtype=float))
-        r_adjoint = adjoint.grid(self.b2, xs, ts, L2) - (
+        r_adjoint = adjoint.grid(self.b2, xs, ts, L2, memo) - (
             np.asarray(hom.base.y_d(X, T), dtype=float)
             - (y + np.asarray(hom.y_hat(X, T), dtype=float)))
         return r_forward, r_adjoint

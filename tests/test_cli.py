@@ -235,8 +235,8 @@ class TestFailureModes:
         assert "y_d - y_hat is not finite at 4 of 16 nodes" in err["reason"]
 
     def test_size_over_physical_memory_refused(self, tmp_path, capsys, monkeypatch):
-        # 4x4 nodes: 3 * 32^2 * 8 B = 24 KB estimated against a 16 KB budget
-        monkeypatch.setattr(collocation, "_physical_memory", lambda: 2 ** 14)
+        # 4x4 nodes: 2 * 32^2 * 8 B = 16 KB estimated against an 8 KB budget
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: 2 ** 13)
         rc = cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,18 @@ import rkheat as rk
 import rkheat.collocation as collocation
 from conftest import UNIT, node_layout, solve_example
 from oracles import BasisFunction, BasisKind, two_lu_solve
+
+
+def dense_backed(system, A):
+    """The system with A stored as the given dense array."""
+    return dataclasses.replace(system, dense=A, factors=None)
+
+
+def x_major(nodes):
+    """The tensor node set reordered x-major, which is no t-major tensor set."""
+    n_x, n_t = nodes.generation["n_x"], nodes.generation["n_t"]
+    order = np.arange(len(nodes)).reshape(n_t, n_x).T.ravel()
+    return rk.NodeSet(nodes=nodes.nodes[order], generation={"kind": "x-major"}), order
 
 
 class TestGenerateNodes:
@@ -102,17 +115,20 @@ class TestAssemble:
                                                     monkeypatch):
         _, _, hom = ex1_case
         nodes = rk.generate_nodes(16, 16, UNIT)      # |A| = 512^2 * 8 B = 2 MB
-        monkeypatch.setattr(collocation, "_physical_memory", lambda: 4 * 2 ** 20)
-        with pytest.raises(ValueError, match="256 nodes need an estimated 5 MB "
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: 3 * 2 ** 20)
+        with pytest.raises(ValueError, match="256 nodes need an estimated 4 MB "
                                              "for the dense 512x512 solve, more "
-                                             "than the 4 MB of physical memory"):
+                                             "than the 3 MB of physical memory"):
             rk.assemble(hom, nodes, unit_kernels)
 
-    def test_footprint_estimate_is_two_and_a_half_matrices(self, ex1_case, unit_kernels,
-                                                           monkeypatch):
+    @pytest.mark.parametrize("layout, per_a", [("grid", 2.0), ("jittered", 3.0)])
+    def test_footprint_estimate_per_representation(self, layout, per_a, ex1_case,
+                                                   unit_kernels, monkeypatch):
+        # a ridge solve holds Aeq and G: 2 |A| from factor pairs, 3 |A|
+        # beside a dense A
         _, _, hom = ex1_case
-        nodes = rk.generate_nodes(2, 2, UNIT)
-        estimate = 2.5 * 8 ** 2 * 8
+        nodes = node_layout(layout, 2)
+        estimate = per_a * 8 ** 2 * 8
         monkeypatch.setattr(collocation, "_physical_memory", lambda: estimate)
         rk.assemble(hom, nodes, unit_kernels)
         monkeypatch.setattr(collocation, "_physical_memory", lambda: estimate - 1)
@@ -120,6 +136,68 @@ class TestAssemble:
             rk.assemble(hom, nodes, unit_kernels)
         monkeypatch.setattr(collocation, "_physical_memory", lambda: None)
         rk.assemble(hom, nodes, unit_kernels)
+
+    @pytest.mark.parametrize("dense, per_a", [(False, 2.0), (True, 3.0)])
+    def test_footprint_estimate_covers_ridge_solve(self, dense, per_a):
+        # the ridge solve is the worst path: Aeq and G, beside A where A is
+        # stored; buffers and vectors add a fixed cost of well under 1 MB
+        _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
+        size = system.C.size ** 2 * 8
+        if dense:
+            system = dense_backed(system, system.A)
+        tracemalloc.start()
+        try:
+            rk.solve(system, ridge_lambda=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + dense * size <= per_a * size + 2 ** 20
+
+    @pytest.mark.parametrize("n_x, n_t", [(4, 4), (5, 7), (24, 24)])
+    def test_factor_rows_match_gather(self, n_x, n_t, ex1_case, unit_kernels):
+        # x-major order is no t-major tensor set, so it takes the gather of
+        # the dense path; the same products, summed in the same order, make
+        # the same matrix with its rows and columns permuted
+        _, _, hom = ex1_case
+        nodes = rk.generate_nodes(n_x, n_t, UNIT)
+        system = rk.assemble(hom, nodes, unit_kernels)
+        permuted, order = x_major(nodes)
+        gathered = rk.assemble(hom, permuted, unit_kernels)
+        assert system.dense is None and system.factors is not None
+        assert gathered.dense is not None and gathered.factors is None
+        both = np.concatenate([order, order + len(nodes)])
+        A = system.A
+        assert np.array_equal(A[np.ix_(both, both)], gathered.A)
+        assert np.array_equal(system.C[both], gathered.C)
+
+    @pytest.mark.parametrize("n_x, n_t", [(4, 4), (5, 7), (24, 24)])
+    def test_row_ranges(self, n_x, n_t, ex1_case, unit_kernels):
+        _, _, hom = ex1_case
+        system = rk.assemble(hom, rk.generate_nodes(n_x, n_t, UNIT), unit_kernels)
+        n, A = n_x * n_t, system.A
+        for dense in (False, True):
+            if dense:
+                system = dense_backed(system, A)
+            for i, j in [(0, 2 * n), (0, 1), (n - 1, n + 1), (n - 3, 2 * n - 1),
+                         (1, n), (n, 2 * n), (5, 5), (2 * n - 1, 2 * n)]:
+                assert np.array_equal(system.rows(i, j), A[i:j])
+                columns = system._columns(i, j, np.empty((j - i, 2 * n)))
+                assert np.array_equal(columns, A[:, i:j].T)
+        with pytest.raises(ValueError, match="outside"):
+            system.rows(n, 2 * n + 1)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            system.rows(0, 2, np.empty((2 * n, 2)).T)
+
+    def test_assembly_holds_factor_pairs_only(self, ex1_case, unit_kernels):
+        _, _, hom = ex1_case
+        nodes = rk.generate_nodes(24, 24, UNIT)
+        tracemalloc.start()
+        try:
+            system = rk.assemble(hom, nodes, unit_kernels)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.05 * system.C.size ** 2 * 8
 
     def test_heldout_residual_decreases_when_n_doubles(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
@@ -149,7 +227,7 @@ class TestSolve:
     def test_identity_blocks(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), unit_kernels)
-        system.A = np.eye(8)
+        system = dense_backed(system, np.eye(8))
         sol = rk.solve(system)
         assert np.allclose(np.concatenate([sol.b1, sol.b2]), system.C,
                            rtol=0, atol=1e-14)
@@ -191,11 +269,17 @@ class TestSolve:
         assert all(c == conds[0] for c in conds)
         assert all(float(f"{v:.3g}") == v for v in conds[0].values())
 
-    @pytest.mark.parametrize("example_id, n", [(1, 8), (2, 16)])
-    def test_matches_two_lu_reference(self, example_id, n):
+    @pytest.mark.parametrize("example_id, layout, n", [
+        pytest.param(1, "grid", 8, id="1-8"),
+        pytest.param(2, "grid", 16, id="2-16"),
+        pytest.param(1, "jittered", 8, id="1-8-jittered"),
+    ])
+    def test_matches_two_lu_reference(self, example_id, layout, n, unit_kernels):
         # one LU of Aeq, in place, with the refinement residual rebuilt from
         # A gives bitwise the b of a solve that keeps Aeq and factors A too
-        _, _, _, system, sol, _ = solve_example(example_id, 1e-2, n, n)
+        problem, _ = rk.builtin_example(example_id, nu=1e-2)
+        system = rk.assemble(rk.homogenize(problem), node_layout(layout, n), unit_kernels)
+        sol = rk.solve(system)
         b, db, cond = two_lu_solve(system.A, system.C)
         assert np.array_equal(np.concatenate([sol.b1, sol.b2]), b)
         assert sol.info["cond"] == cond
@@ -242,9 +326,9 @@ class TestSolve:
         assert calls == [system.A.shape]
 
     def test_extra_memory_below_one_and_a_third_matrices(self):
-        # beyond A: Aeq, factored in place, plus a block of rows or
-        # lu_factor's finiteness mask; a second LU or an LU copy beside
-        # Aeq makes it 2 |A|
+        # Aeq, factored in place, plus a block of rows or lu_factor's
+        # finiteness mask; a second LU, an LU copy or a dense A beside Aeq
+        # makes it 2 |A|
         _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
         tracemalloc.start()
         try:
@@ -254,9 +338,23 @@ class TestSolve:
             tracemalloc.stop()
         assert peak <= 1.3 * system.A.nbytes
 
+    def test_assemble_and_solve_below_one_and_a_third_matrices(self):
+        # counting everything: the factor pairs, then Aeq and a block of rows
+        problem, _ = rk.builtin_example(2, nu=1e-2)
+        hom = rk.homogenize(problem)
+        kernels = rk.standard_kernels(problem.interval, problem.T)
+        nodes = rk.generate_nodes(32, 32, (problem.interval, problem.T))
+        tracemalloc.start()
+        try:
+            rk.solve(rk.assemble(hom, nodes, kernels))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 2048 ** 2 * 8
+
     def test_ridge_extra_memory_two_matrices(self):
-        # beyond A: Aeq and G = Aeq^T Aeq, G factored in place once Aeq is
-        # freed; an identity or a sum temporary for the ridge makes it 4 |A|
+        # Aeq and G = Aeq^T Aeq, G factored in place once Aeq is freed; an
+        # identity or a sum temporary for the ridge makes it 3 |A|
         _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
         tracemalloc.start()
         try:
@@ -277,7 +375,7 @@ class TestSolve:
     def test_zero_row_raises(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), unit_kernels)
-        system.A = np.zeros_like(system.A)
+        system = dense_backed(system, np.zeros_like(system.A))
         with pytest.raises(rk.NumericallySingular):
             rk.solve(system)
 
@@ -286,7 +384,7 @@ class TestSolve:
         system = rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), unit_kernels)
         A = system.A.copy()
         A[3] = A[2]                      # exact rank deficiency
-        system.A = A
+        system = dense_backed(system, A)
         with pytest.raises(rk.NumericallySingular):
             rk.solve(system)
 
@@ -297,7 +395,7 @@ class TestSolve:
         system = rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), unit_kernels)
         A = system.A.copy()
         A[3] = A[2]
-        system.A = A
+        system = dense_backed(system, A)
         sol = rk.solve(system, ridge_lambda=1e-8)
         assert sol.info["cond"] == {"pre": np.inf, "post": np.inf}
         assert np.isfinite(sol.b1).all() and np.isfinite(sol.b2).all()
@@ -406,6 +504,31 @@ class TestEvaluate:
         assert forward.shape == adjoint.shape == X.shape
         np.testing.assert_allclose(forward, rk.residual_forward(y, p, hom, (X, T)), rtol=1e-10)
         np.testing.assert_allclose(adjoint, rk.residual_adjoint(y, p, hom, (X, T)), rtol=1e-10)
+
+
+    def test_residuals_build_each_kernel_matrix_once(self, monkeypatch):
+        # the value and operator grids of both fields share the spatial
+        # kernel and their own temporal kernel: 12 distinct 1-D matrices
+        _, _, _, _, sol, _ = solve_example(2, 1e-2, 8, 8)
+        xs, ts = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)
+        state, adjoint = sol._spaces
+        nu = sol.hom.base.nu
+        X, T = np.meshgrid(xs, ts)
+        forward = state.grid(sol.b1, xs, ts, collocation.L1) - (
+            adjoint.grid(sol.b2, xs, ts) / nu + sol.hom.G1(X, T))
+        adjoint_r = adjoint.grid(sol.b2, xs, ts, collocation.L2) - (
+            sol.hom.base.y_d(X, T) - (state.grid(sol.b1, xs, ts) + sol.hom.y_hat(X, T)))
+        calls = []
+        kernel_matrix = collocation.kernel_matrix
+
+        def counting(kernel, xs, ys, dx=0, dy=0):
+            calls.append((kernel, dx, dy))
+            return kernel_matrix(kernel, xs, ys, dx, dy)
+
+        monkeypatch.setattr(collocation, "kernel_matrix", counting)
+        got = sol.residuals(xs, ts)
+        assert len(calls) == len(set(calls)) == 12
+        assert np.array_equal(got[0], forward) and np.array_equal(got[1], adjoint_r)
 
 
 class TestErrorNorms:

@@ -157,9 +157,9 @@ class CollocationSystem:
     dense array (dense); there the factors are n x n each, and the 24 of
     them would take 6 |A|.  rows(i, j) builds rows of A in either form,
     bitwise equal, and solve reads A only through blocks of rows and
-    columns.  The A property
-    returns the dense array, or on tensor node sets builds the full
-    matrix anew on each access.
+    columns, building A three times: the fill of the equilibrated matrix
+    and two residuals.  The A property returns the dense array, or on
+    tensor node sets builds the full matrix anew on each access.
     """
 
     C: np.ndarray
@@ -405,51 +405,36 @@ def _row_blocks(system):
         yield i, j, system.rows(i, j, buffer[:j - i])
 
 
-def _row_scales(system):
-    """Row scales d = max_j |A_ij| and the norms of A that need |A|.
+def _equilibrated(system):
+    """Aeq = A / d[:, None] in Fortran order, d, ||A||_1 and ||Aeq||_1.
 
-    One pass over blocks of rows; returns d, ||A||_1, ||Aeq||_1 and
-    ||A||_inf, where Aeq = D^-1 A is the row-equilibrated matrix.
+    d = max_j |A_ij| are the row scales.  A Fortran-ordered Aeq is filled
+    with columns of A, which are contiguous there: writing rows of A into
+    it would be a strided transposing copy.  The fill is the only pass that
+    builds A; d is a running maximum over its column blocks, and the
+    second pass divides the filled array in place.
     """
     size = len(system.C)
-    d = np.empty(size)
-    cols, cols_eq = np.zeros(size), np.zeros(size)
-    norm_inf = 0.0
-    for i, j, block in _row_blocks(system):
-        np.abs(block, out=block)
-        scale = d[i:j] = block.max(axis=1)
-        if not np.all(scale > 0):
-            raise NumericallySingular("system matrix has an identically zero row")
-        cols += block.sum(axis=0)
-        norm_inf = max(norm_inf, block.sum(axis=1).max())
-        block /= scale[:, None]
-        cols_eq += block.sum(axis=0)
-    return d, float(cols.max()), float(cols_eq.max()), float(norm_inf)
+    Aeq = np.empty((size, size), order="F")
+    target = Aeq.T                             # C-contiguous: rows of A^T
+    buffer = np.empty((min(_ROW_BLOCK, size), size))
+    spans = [(i, min(i + _ROW_BLOCK, size)) for i in range(0, size, _ROW_BLOCK)]
+    d = np.zeros(size)
+    norm_1 = norm_1_eq = 0.0
+    for i, j in spans:
+        block = np.abs(system._columns(i, j, target[i:j]), out=buffer[:j - i])
+        np.maximum(d, block.max(axis=0), out=d)
+        norm_1 = max(norm_1, block.sum(axis=1).max())
+    if not np.all(d > 0):
+        raise NumericallySingular("system matrix has an identically zero row")
+    for i, j in spans:
+        target[i:j] /= d
+        norm_1_eq = max(norm_1_eq, np.abs(target[i:j], out=buffer[:j - i]).sum(axis=1).max())
+    return Aeq, d, float(norm_1), float(norm_1_eq)
 
 
-def _equilibrated(system, d, order):
-    """Aeq = A / d[:, None] in the given memory order, built block by block.
-
-    A Fortran-ordered Aeq is filled with columns of A, which are contiguous
-    there: writing rows of A into it would be a strided transposing copy.
-    """
-    size = len(d)
-    Aeq = np.empty((size, size), order=order)
-    fortran = order == "F"
-    target = Aeq.T if fortran else Aeq         # C-contiguous either way
-    for i in range(0, size, _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, size)
-        if fortran:
-            system._columns(i, j, target[i:j])
-            target[i:j] /= d
-        else:
-            system.rows(i, j, target[i:j])
-            target[i:j] /= d[i:j, None]
-    return Aeq
-
-
-def _product(system, b, d=None):
-    """A @ b, or (A / d[:, None]) @ b, with the rows of A rebuilt block by block.
+def _product(system, b, d):
+    """(A / d[:, None]) @ b with the rows of A rebuilt block by block.
 
     Rows are divided before the product, as a solve that keeps Aeq forms
     Aeq @ b; (A @ b) / d differs in the last bits, and at cond ~1e13 that
@@ -457,10 +442,20 @@ def _product(system, b, d=None):
     """
     out = np.empty(len(b))
     for i, j, block in _row_blocks(system):
-        if d is not None:
-            block /= d[i:j, None]
+        block /= d[i:j, None]
         out[i:j] = block @ b
     return out
+
+
+def _residual(system, b):
+    """|A b - C| and |A| |b| + |C|, from one pass over rows of A."""
+    C = system.C
+    residual, scale = np.empty(len(b)), np.empty(len(b))
+    b_abs = np.abs(b)
+    for i, j, block in _row_blocks(system):
+        residual[i:j] = block @ b
+        scale[i:j] = np.abs(block, out=block) @ b_abs
+    return np.abs(residual - C), scale + np.abs(C)
 
 
 def _inverse_norm_1(apply, apply_t, n):
@@ -505,26 +500,28 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
 
     A is read in blocks of rows and columns only, so on a tensor node set,
     where A is kept as factor pairs, the solve holds one 2n x 2n array.
-    Rows are scaled by their max magnitude, A = D Aeq, and Aeq is factored
-    in place by LU with partial pivoting.  info["cond"] holds 1-norm
-    condition estimates of A ("pre") and Aeq ("post"), both from Aeq's
-    factors: "post" is LAPACK gecon, "pre" is ||A||_1 times the
-    Hager-Higham estimate of ||A^-1||_1 = ||Aeq^-1 D^-1||_1.  No inverse
-    is formed.  ridge_lambda = 0 solves with the factors plus one step of
-    iterative refinement, and info["solver"] records the backward error
-    ||A b - C||_inf / (||A||_inf ||b||_inf + ||C||_inf) and the refinement
-    change ||db||_inf / ||b||_inf.  ridge_lambda > 0 solves the regularized
-    normal equations (Aeq^T Aeq + lambda ||Aeq||_F^2 I) b = Aeq^T Ceq of
-    the equilibrated system; it takes no refinement step, so its
-    refinement change is None.
+    It builds A three times: one pass fills a Fortran-ordered
+    Aeq = D^-1 A from column blocks and takes the row scales D (each row's
+    max magnitude) on the way, the refinement residual and the final
+    residual each rebuild the rows.  Aeq is factored in place by LU with
+    partial pivoting.  info["cond"] holds 1-norm condition estimates of A
+    ("pre") and Aeq ("post"), both from Aeq's factors: "post" is LAPACK
+    gecon, "pre" is ||A||_1 times the Hager-Higham estimate of
+    ||A^-1||_1 = ||Aeq^-1 D^-1||_1.  No inverse is formed.  ridge_lambda = 0
+    solves with the factors plus one step of iterative refinement.
+    info["solver"] records the componentwise (Oettli-Prager) backward error
+    max_i |A b - C|_i / (|A| |b| + |C|)_i, 0 on rows where the denominator
+    is 0, and the refinement change ||db||_inf / ||b||_inf.
+    ridge_lambda > 0 solves the regularized normal equations
+    (Aeq^T Aeq + lambda ||Aeq||_F^2 I) b = Aeq^T Ceq of the equilibrated
+    system, refilling Aeq once its factors are dropped; it takes no
+    refinement step, so its refinement change is None.
     """
     if ridge_lambda < 0:
         raise ValueError("ridge_lambda must be >= 0")
-    C = system.C
-    d, norm_1, norm_1_eq, norm_inf = _row_scales(system)
-    Ceq = C / d
     # Fortran order, or lu_factor copies Aeq whatever overwrite_a says
-    Aeq = _equilibrated(system, d, "F")
+    Aeq, d, norm_1, norm_1_eq = _equilibrated(system)
+    Ceq = system.C / d
     try:
         with warnings.catch_warnings():
             # an exactly singular matrix warns before we can inspect the
@@ -554,7 +551,7 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
         b = b + db
     else:
         del factors, lu              # before Aeq is rebuilt, so the two never coexist
-        Aeq = _equilibrated(system, d, "C")
+        Aeq = _equilibrated(system)[0]
         lam = ridge_lambda * np.linalg.norm(Aeq, "fro") ** 2
         G = Aeq.T @ Aeq
         G.flat[::len(G) + 1] += lam
@@ -568,18 +565,18 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
         raise NumericallySingular("solution vector is not finite")
 
     n = len(system.node_set)
-    residual_max = float(np.abs(_product(system, b) - C).max())
-    b_max = float(np.abs(b).max())
-    scale = norm_inf * b_max + float(np.abs(C).max())
+    residual, scale = _residual(system, b)
+    # a row with |A||b| + |C| = 0 has a zero residual: its ratio is 0
+    backward_error = np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0)
     change = None
     if ridge_lambda == 0.0:
+        b_max = float(np.abs(b).max())
         change = float(np.abs(db).max()) / b_max if b_max else 0.0
     info = {
         "cond": cond,
         "ridge_lambda": ridge_lambda,
-        "residual_max": residual_max,
-        # b = 0 with C = 0 solves exactly: both ratios are then 0
-        "solver": {"backward_error": residual_max / scale if scale else 0.0,
+        "residual_max": float(residual.max()),
+        "solver": {"backward_error": float(backward_error.max()),
                    "refinement_change": change},
     }
     return Solution(b1=b[:n], b2=b[n:], node_set=system.node_set,

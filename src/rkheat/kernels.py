@@ -104,8 +104,8 @@ class Kernel1D:
     """Reproducing kernel of a SpaceSpec space.
 
     For each second argument y the kernel is two polynomial pieces of degree
-    2m+1 (coefficient length 2m+2): the left piece on [a, y] and the right
-    piece on (y, b].  ``coefficients`` returns the pieces of the dy-th
+    2m+1 in x - a (coefficient length 2m+2): the left piece on [a, y] and
+    the right piece on (y, b].  ``coefficients`` returns the pieces of the dy-th
     derivative of k with respect to its second argument, computed by the
     implicit-differentiation recurrence described in the module docstring.
     """
@@ -126,10 +126,13 @@ class Kernel1D:
         shift > 0 returns the matrix of the y-dependent rows differentiated
         shift times with respect to y (constraint and natural-boundary rows,
         which do not depend on y, are zeroed); rows whose derivative order
-        exceeds the piece degree vanish.
+        exceeds the piece degree vanish.  The rows are written in the local
+        coordinate x - a, on [0, b - a]: in powers of x itself the system is
+        numerically rank deficient on an interval such as [100, 101].
         """
         m = self.spec.order_m
-        a, b = self.spec.interval
+        a, b = 0.0, self.spec.b - self.spec.a
+        y = y - self.spec.a
         nc = self.piece_length
         rows = []
 
@@ -231,6 +234,8 @@ class Kernel1D:
 
         The left piece is used at x = y (tie-break).  Derivative orders up
         to 2m+1 are meaningful; beyond the piece degree the result is zero.
+        The pieces are polynomials in x - a, so the value is the kernel of
+        [0, b - a] at the shifted points x - a, y - a.
         """
         a, b = self.spec.interval
         tol = 1e-12 * (b - a)
@@ -243,9 +248,10 @@ class Kernel1D:
         if dx >= self.piece_length:
             out = np.zeros_like(xarr)
             return out if out.shape else float(out)
-        lv = npoly.polyval(xarr, npoly.polyder(left, dx)) if dx else npoly.polyval(xarr, left)
-        rv = npoly.polyval(xarr, npoly.polyder(right, dx)) if dx else npoly.polyval(xarr, right)
-        out = np.where(xarr <= float(y), lv, rv)
+        xs, ys = xarr - a, float(y) - a
+        lv = npoly.polyval(xs, npoly.polyder(left, dx)) if dx else npoly.polyval(xs, left)
+        rv = npoly.polyval(xs, npoly.polyder(right, dx)) if dx else npoly.polyval(xs, right)
+        out = np.where(xs <= ys, lv, rv)
         return out if out.shape else float(out)
 
 

@@ -104,6 +104,8 @@ class TestAssemble:
         sol = rk.solve(system)
         assert np.allclose(sol.b1, 0.0, atol=1e-12)
         assert np.allclose(sol.b2, 0.0, atol=1e-12)
+        # every row's backward-error ratio is 0 / 0, reported as 0
+        assert sol.info["solver"]["backward_error"] == 0.0
 
     def test_domain_mismatch(self, ex1_case):
         _, _, hom = ex1_case
@@ -304,13 +306,55 @@ class TestSolve:
             assert est == pytest.approx(1.0 / (rcond * norm), rel=1e-10)
 
     def test_backward_error(self, ex1_solution_8):
+        # componentwise (Oettli-Prager): max_i |Ab - C|_i / (|A||b| + |C|)_i
         sol, system = ex1_solution_8
         A, C = system.A, system.C
         b = np.concatenate([sol.b1, sol.b2])
-        want = np.abs(A @ b - C).max() / (np.abs(A).sum(axis=1).max() * np.abs(b).max()
-                                          + np.abs(C).max())
-        assert sol.info["solver"]["backward_error"] == pytest.approx(want, rel=1e-12)
+        want = (np.abs(A @ b - C) / (np.abs(A) @ np.abs(b) + np.abs(C))).max()
+        assert sol.info["solver"]["backward_error"] == pytest.approx(want, rel=1e-12, abs=0)
         assert sol.info["solver"]["backward_error"] < 1e-15
+
+    @pytest.mark.parametrize("ridge_lambda", [0.0, 1e-12])
+    def test_three_builds_of_a_per_solve(self, ridge_lambda, ex1_case, unit_kernels,
+                                         monkeypatch):
+        # the fill of Aeq (which also gives the row scales), then the
+        # refinement residual or the ridge's refill, then the final residual
+        _, _, hom = ex1_case
+        system = rk.assemble(hom, rk.generate_nodes(6, 5, UNIT), unit_kernels)
+        built = []
+        rows = collocation._KroneckerBlocks.rows
+
+        def counting(self, i, j, out):
+            built.append(j - i)
+            return rows(self, i, j, out)
+
+        monkeypatch.setattr(collocation._KroneckerBlocks, "rows", counting)
+        rk.solve(system, ridge_lambda=ridge_lambda)
+        assert sum(built) == 3 * len(system.C)
+
+    @pytest.mark.parametrize("example_id, nu, n", [
+        pytest.param(1, 1e-2, 8, id="1-8"),
+        pytest.param(2, 1e-2, 16, id="2-16"),
+        pytest.param(1, 1e-6, 14, id="1-14-nu1e-6"),
+    ])
+    def test_ridge_solves_regularized_normal_equations(self, example_id, nu, n,
+                                                       unit_kernels):
+        # (Aeq^T Aeq + lambda ||Aeq||_F^2 I) b = Aeq^T Ceq to rounding, for
+        # the row-equilibrated Aeq = D^-1 A; without the lambda term the
+        # residual is ~1e-12 of the scale
+        problem, _ = rk.builtin_example(example_id, nu=nu)
+        system = rk.assemble(rk.homogenize(problem), rk.generate_nodes(n, n, UNIT),
+                             unit_kernels)
+        ridge_lambda = 1e-12
+        sol = rk.solve(system, ridge_lambda=ridge_lambda)
+        b = np.concatenate([sol.b1, sol.b2])
+        A = system.A
+        d = np.abs(A).max(axis=1)
+        Aeq = A / d[:, None]
+        G = Aeq.T @ Aeq + ridge_lambda * np.linalg.norm(Aeq, "fro") ** 2 * np.eye(len(A))
+        r = Aeq.T @ (system.C / d)
+        scale = np.abs(G).sum(axis=1).max() * np.abs(b).max() + np.abs(r).max()
+        assert np.abs(G @ b - r).max() / scale <= 1e-15
 
     def test_one_lu_per_solve(self, ex1_solution_8, monkeypatch):
         _, system = ex1_solution_8

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,50 @@ class TestConditionSystem:
             for j, y in enumerate(ys):
                 assert M[i, j] == pytest.approx(kernel_w2.eval(x, y, 2, 2),
                                                 rel=1e-12, abs=1e-12)
+
+
+class TestShiftedIntervals:
+    # the condition system and the pieces are written in x - a, so a
+    # kernel on [a, b] is the kernel of [0, b - a] at the shifted points
+    INTERVALS = [(10.0, 11.0), (100.0, 101.0), (1000.0, 1001.0), (0.0, 0.01), (-1.0, 1.0)]
+
+    @pytest.mark.parametrize("interval", INTERVALS, ids=str)
+    @pytest.mark.parametrize("spec", [W2_SPEC, W1_SPEC, W1P_SPEC], ids=["w2", "w1", "w1p"])
+    def test_kernel_of_shifted_interval(self, spec, interval, rng):
+        a, b = interval
+        kernel = rk.build_kernel(rk.SpaceSpec(spec.order_m, interval, spec.constraints))
+        local = rk.build_kernel(rk.SpaceSpec(spec.order_m, (0.0, b - a), spec.constraints))
+        pts = a + (b - a) * np.linspace(0.0, 1.0, 11)
+        for dx in range(3):
+            for dy in range(3):
+                assert np.array_equal(rk.kernel_matrix(kernel, pts, pts, dx, dy),
+                                      rk.kernel_matrix(local, pts - a, pts - a, dx, dy))
+        K = rk.kernel_matrix(kernel, pts, pts)
+        assert (np.abs(K - K.T) / (1.0 + np.abs(K))).max() <= 1e-10
+        if ("a", 0) in spec.constraints:
+            assert all(kernel.eval(a, y) == 0.0 for y in pts)
+        # admissible polynomials of [0, b - a], composed with x - a
+        worst = 0.0
+        for g in admissible_polynomials(local.spec, 5, rng):
+            f = np.polynomial.Polynomial(g.coef, domain=[a, b], window=[0.0, b - a])
+            for y in pts[1:-1:3]:
+                got = inner_product_1d(poly_derivative_table(f), kernel, float(y))
+                worst = max(worst, abs(got - f(y)) / (1.0 + abs(f(y))))
+        assert worst <= 1e-11               # 1e-13 measured on [1000, 1001]
+
+    def test_translated_problem_matches_unit_interval(self):
+        # example 2 on [100, 101]: the same error to rounding of the shift
+        problem, exact = rk.builtin_example(2, nu=1e-2)
+        shift = 100.0
+        moved = dataclasses.replace(problem, a=shift, b=shift + 1.0,
+                                    y_d=lambda x, t: problem.y_d(x - shift, t))
+        moved_exact = rk.ExactSolution(
+            *(lambda x, t, f=f: f(x - shift, t)
+              for f in (exact.y_exact, exact.p_exact, exact.u_exact)))
+        errors = []
+        for prob, ref in ((problem, exact), (moved, moved_exact)):
+            kernels = rk.standard_kernels(prob.interval, prob.T)
+            nodes = rk.generate_nodes(8, 8, (prob.interval, prob.T))
+            sol = rk.solve(rk.assemble(rk.homogenize(prob), nodes, kernels))
+            errors.append(rk.error_norms(sol, ref)["linf_y"])
+        assert errors[1] == pytest.approx(errors[0], rel=1e-10)

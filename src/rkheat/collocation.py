@@ -597,18 +597,21 @@ def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 
     A21, A22 = A[n:, :n], A[n:, n:]
     C1, C2 = C[:n], C[n:]
     try:
-        lu1 = scipy.linalg.lu_factor(A11)
-        lu2 = scipy.linalg.lu_factor(A22)
+        lu1, piv1 = scipy.linalg.lu_factor(A11)
+        lu2, piv2 = scipy.linalg.lu_factor(A22)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericallySingular(f"diagonal block factorization failed: {exc}") from exc
+    # LAPACK's getrs itself, as lu_solve calls it, without lu_solve's
+    # per-call checks: a sweep is only two n x n triangular pairs
+    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu1, lu2))
     b1 = np.zeros(n)
     b2 = np.zeros(n)
     converged = False
     change = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        b1_new = scipy.linalg.lu_solve(lu1, C1 - A12 @ b2)
-        b2_new = scipy.linalg.lu_solve(lu2, C2 - A21 @ b1)
+        b1_new, _ = getrs(lu1, piv1, C1 - A12 @ b2, overwrite_b=True)
+        b2_new, _ = getrs(lu2, piv2, C2 - A21 @ b1, overwrite_b=True)
         change = max(np.abs(b1_new - b1).max(), np.abs(b2_new - b2).max())
         b1, b2 = b1_new, b2_new
         scale = max(1.0, np.abs(b1).max(), np.abs(b2).max())

@@ -2,13 +2,20 @@
 
 Independent of the kernel solver: second-order central differences in
 space, Crank-Nicolson in time, both equations enforced at the half-steps
-t_{j+1/2} and solved all at once as one sparse linear system.  The state
-is unknown at levels 1..M (level 0 is the initial data) and the adjoint
-at levels 0..M-1 (level M is its terminal zero), so the system is square.
-The control is recovered exactly as u = p / nu on the grid.
+t_{j+1/2} and solved all at once.  The state is unknown at levels 1..M
+(level 0 is the initial data) and the adjoint at levels 0..M-1 (level M is
+its terminal zero), so the system is square.  The control is recovered
+exactly as u = p / nu on the grid.
 
-scipy.sparse and scipy.interpolate are imported on first use: the kernel
-solver never needs them, and importing rkheat should not pay for them.
+The spatial operator is the Dirichlet three-point Laplacian, which the
+orthonormal sine transform (DST-I) diagonalizes, so every space block of
+the system does too (the fast Poisson solver of Buzbee, Golub and
+Nielson, SINUM 1970).  In sine modes the system splits into n_x
+independent pentadiagonal systems in time, solved together by one banded
+LU with partial pivoting; nothing of size n_x * M squared is formed.
+
+scipy.interpolate is imported on first use by self_convergence: importing
+rkheat should not pay for it.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import SingularDiscretization
 from .grids import GridField, SpaceTimeGrid, trapezoid_2d
@@ -39,19 +47,56 @@ class FDReferenceSolution:
     u: GridField
 
 
-def _laplacian(n_x: int, h: float) -> "scipy.sparse.csr_matrix":
-    import scipy.sparse
+def _sine_modes(n_x: int, h: float):
+    """Orthonormal DST-I matrix Q and the eigenvalues of the Laplacian.
 
-    main = -2.0 * np.ones(n_x)
-    off = np.ones(n_x - 1)
-    return scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr") / h ** 2
+    The Dirichlet three-point Laplacian on n_x interior points is
+    Q diag(lam) Q with Q symmetric, so Q @ Q is the identity.
+    """
+    idx = np.arange(1, n_x + 1)
+    Q = np.sqrt(2.0 / (n_x + 1)) * np.sin(np.outer(idx, idx) * np.pi / (n_x + 1))
+    lam = -4.0 / h ** 2 * np.sin(idx * np.pi / (2 * (n_x + 1))) ** 2
+    return Q, lam
+
+
+def _mode_bands(lam: np.ndarray, k: float, nu: float, M: int) -> np.ndarray:
+    """Banded (2, 2) storage of every mode's system, stacked mode-major.
+
+    In mode m the unknowns interleave by level, z[2j] = P_j and
+    z[2j+1] = Y_{j+1}.  Row 2j is the forward equation at t_{j+1/2},
+
+        ap Y_j + c P_j + am Y_{j+1} + c P_{j+1} = F_j,
+
+    and row 2j+1 the adjoint one,
+
+        Y_j / 2 + am P_j + Y_{j+1} / 2 + ap P_{j+1} = A_j,
+
+    where Y_0 is known data and P_M the terminal zero, so their terms are
+    dropped and the modes do not couple.  Row 2 - d of the storage holds,
+    in column q, the coefficient of z[q] in row q - d (LAPACK's layout).
+    """
+    am = (-1.0 / k + lam / 2)[:, None]
+    ap = (1.0 / k + lam / 2)[:, None]
+    c = -1.0 / (2.0 * nu)
+    ab = np.zeros((5, len(lam), 2 * M))
+    ab[0, :, 2::2] = c                   # P_j in forward row j - 1
+    ab[1, :, 2::2] = ap                  # P_j in adjoint row j - 1
+    ab[1, :, 1::2] = am                  # Y_{j+1} in forward row j
+    ab[2, :, 0::2] = c                   # P_j in forward row j
+    ab[2, :, 1::2] = 0.5                 # Y_{j+1} in adjoint row j
+    ab[3, :, 0::2] = am                  # P_j in adjoint row j
+    ab[3, :, 1:-1:2] = ap                # Y_{j+1} in forward row j + 1
+    ab[4, :, 1:-1:2] = 0.5               # Y_{j+1} in adjoint row j + 1
+    return ab.reshape(5, -1)
 
 
 def solve_coupled_fd(problem: ControlProblem, grid: SpaceTimeGrid) -> FDReferenceSolution:
-    """Solve both equations simultaneously on the given grid."""
-    import scipy.sparse
-    import scipy.sparse.linalg
+    """Solve both equations simultaneously on the given grid.
 
+    Raises ValueError naming the field when y0, h1, h2 or y_d is not finite
+    on the grid, and SingularDiscretization when the grid does not cover
+    the problem or the banded solve fails or returns non-finite values.
+    """
     if not np.isclose(grid.interval[0], problem.a) \
             or not np.isclose(grid.interval[1], problem.b) \
             or not np.isclose(grid.horizon, problem.T):
@@ -66,30 +111,26 @@ def solve_coupled_fd(problem: ControlProblem, grid: SpaceTimeGrid) -> FDReferenc
     ts_half = 0.5 * (ts[:-1] + ts[1:])
     nu = problem.nu
 
-    lap = _laplacian(n_x, h)
-    I = scipy.sparse.identity(n_x, format="csr")
-    IM = scipy.sparse.identity(M, format="csr")
-    sub = scipy.sparse.diags([np.ones(M - 1)], [-1], format="csr")
-    sup = scipy.sparse.diags([np.ones(M - 1)], [1], format="csr")
-
-    # Unknown ordering: y levels 1..M then p levels 0..M-1, t-major.
-    Fy = scipy.sparse.kron(IM, -I / k + lap / 2) + scipy.sparse.kron(sub, I / k + lap / 2)
-    Fp = -1.0 / (2.0 * nu) * scipy.sparse.kron(IM + sup, I)
-    Ay = scipy.sparse.kron(IM + sub, I / 2)
-    Ap = scipy.sparse.kron(sup, I / k + lap / 2) + scipy.sparse.kron(IM, -I / k + lap / 2)
-    A = scipy.sparse.bmat([[Fy, Fp], [Ay, Ap]], format="csc")
-
     y_init = np.asarray(problem.y0(xs_int), dtype=float)
     y_init = np.broadcast_to(y_init, xs_int.shape).astype(float)
     h1_lev = np.asarray([float(problem.h1(t)) for t in ts])
     h2_lev = np.asarray([float(problem.h2(t)) for t in ts])
+    X, Th = np.meshgrid(xs_int, ts_half)
+    y_d = np.broadcast_to(np.asarray(problem.y_d(X, Th), dtype=float), X.shape)
+    for name, values in (("y0", y_init), ("h1", h1_lev), ("h2", h2_lev), ("y_d", y_d)):
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            raise ValueError(f"problem data {name} is not finite at {bad} of "
+                             f"{values.size} grid points")
 
     rhs_F = np.zeros((M, n_x))
-    rhs_A = np.zeros((M, n_x))
-    X, Th = np.meshgrid(xs_int, ts_half)
-    rhs_A[:, :] = np.asarray(problem.y_d(X, Th), dtype=float)
-    # Known initial level of y enters the j = 0 half-step of both equations.
-    rhs_F[0] -= (y_init / k + (lap @ y_init) / 2)
+    rhs_A = y_d.copy()
+    # Known initial level of y enters the j = 0 half-step of both equations;
+    # lap @ y_init by the three-point stencil with zero ends.
+    lap_y = -2.0 * y_init
+    lap_y[1:] += y_init[:-1]
+    lap_y[:-1] += y_init[1:]
+    rhs_F[0] -= (y_init / k + (lap_y / h ** 2) / 2)
     rhs_A[0] -= y_init / 2
     # Lateral boundary values of y enter the Laplacian rows next to x=a, x=b.
     bnd_half1 = 0.5 * (h1_lev[:-1] + h1_lev[1:])
@@ -97,24 +138,27 @@ def solve_coupled_fd(problem: ControlProblem, grid: SpaceTimeGrid) -> FDReferenc
     rhs_F[:, 0] -= bnd_half1 / h ** 2
     rhs_F[:, -1] -= bnd_half2 / h ** 2
 
-    rhs = np.concatenate([rhs_F.ravel(), rhs_A.ravel()])
+    Q, lam = _sine_modes(n_x, h)
+    rhs = np.empty((n_x, M, 2))
+    rhs[:, :, 0] = (rhs_F @ Q).T
+    rhs[:, :, 1] = (rhs_A @ Q).T
     try:
-        sol = scipy.sparse.linalg.spsolve(A, rhs)
-    except RuntimeError as exc:
-        raise SingularDiscretization(f"sparse solve failed: {exc}") from exc
-    if not np.isfinite(sol).all():
-        raise SingularDiscretization("sparse solve returned non-finite values")
-
-    y_unk = sol[: M * n_x].reshape(M, n_x)
-    p_unk = sol[M * n_x:].reshape(M, n_x)
+        z = scipy.linalg.solve_banded((2, 2), _mode_bands(lam, k, nu, M), rhs.ravel(),
+                                      overwrite_ab=True, overwrite_b=True,
+                                      check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularDiscretization(f"banded mode solve failed: {exc}") from exc
+    if not np.isfinite(z).all():
+        raise SingularDiscretization("banded mode solve returned non-finite values")
+    z = z.reshape(n_x, M, 2)
 
     Y = np.zeros((M + 1, n_x + 2))
     P = np.zeros((M + 1, n_x + 2))
     Y[0, 1:-1] = y_init
-    Y[1:, 1:-1] = y_unk
+    Y[1:, 1:-1] = z[:, :, 1].T @ Q
     Y[:, 0] = h1_lev
     Y[:, -1] = h2_lev
-    P[:-1, 1:-1] = p_unk
+    P[:-1, 1:-1] = z[:, :, 0].T @ Q
 
     return FDReferenceSolution(
         grid=grid,

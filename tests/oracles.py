@@ -18,6 +18,9 @@ that the CLI's output format is pinned to.  two_lu_solve is the
 equilibrated direct solve that keeps Aeq beside its factors and factors
 the raw matrix a second time for its condition estimate; the collocation
 module's single-factorization solve is pinned to its b and estimates.
+fd_sparse_system assembles the finite-difference reference's whole
+Crank-Nicolson system as one sparse matrix, the form the sine-mode solve
+must satisfy.
 """
 
 from __future__ import annotations
@@ -95,12 +98,15 @@ def admissible_polynomials(spec, count: int, rng) -> list:
     """Random polynomials of degree <= 2m+1 satisfying spec's constraints.
 
     Built from an orthonormal basis of the constraint nullspace in the
-    monomial coefficient space, so the constraints hold to rounding.
+    monomial coefficient space of the local coordinate x - a, so the
+    constraints hold to rounding on shifted intervals too.  Each returned
+    Polynomial maps x to x - a itself, which is x bitwise when a = 0.
     """
     ncoef = 2 * spec.order_m + 2
+    a, b = spec.interval
     rows = []
     for point, order in spec.constraints:
-        p = spec.interval[0] if point == "a" else spec.interval[1]
+        p = 0.0 if point == "a" else b - a
         basis = np.eye(ncoef)
         rows.append([np.polynomial.Polynomial(basis[k]).deriv(order)(p)
                      if order else np.polynomial.Polynomial(basis[k])(p)
@@ -112,7 +118,7 @@ def admissible_polynomials(spec, count: int, rng) -> list:
     out = []
     for _ in range(count):
         coef = ns @ rng.standard_normal(ns.shape[1])
-        out.append(np.polynomial.Polynomial(coef))
+        out.append(np.polynomial.Polynomial(coef, domain=[a, a + 1.0], window=[0.0, 1.0]))
     return out
 
 
@@ -209,3 +215,58 @@ def two_lu_solve(A, C):
     b = scipy.linalg.lu_solve(factors, Ceq)
     db = scipy.linalg.lu_solve(factors, Ceq - Aeq @ b)
     return b + db, db, cond
+
+
+def fd_sparse_system(problem, grid):
+    """The coupled Crank-Nicolson system of solve_coupled_fd, as (A, rhs).
+
+    Unknowns are y at levels 1..M, then p at levels 0..M-1, t-major over
+    the interior points; rows are the forward equations at the half-steps,
+    then the adjoint ones.
+    """
+    import scipy.sparse
+
+    n_x = grid.n_x
+    h = grid.h
+    k = grid.k
+    M = grid.n_t + 1                      # time intervals; levels 0..M
+    xs_int = grid.xs[1:-1]
+    ts = grid.ts                          # M + 1 levels
+    ts_half = 0.5 * (ts[:-1] + ts[1:])
+    nu = problem.nu
+
+    main = -2.0 * np.ones(n_x)
+    off = np.ones(n_x - 1)
+    lap = scipy.sparse.diags([off, main, off], [-1, 0, 1], format="csr") / h ** 2
+    I = scipy.sparse.identity(n_x, format="csr")
+    IM = scipy.sparse.identity(M, format="csr")
+    sub = scipy.sparse.diags([np.ones(M - 1)], [-1], format="csr")
+    sup = scipy.sparse.diags([np.ones(M - 1)], [1], format="csr")
+
+    Fy = scipy.sparse.kron(IM, -I / k + lap / 2) + scipy.sparse.kron(sub, I / k + lap / 2)
+    Fp = -1.0 / (2.0 * nu) * scipy.sparse.kron(IM + sup, I)
+    Ay = scipy.sparse.kron(IM + sub, I / 2)
+    Ap = scipy.sparse.kron(sup, I / k + lap / 2) + scipy.sparse.kron(IM, -I / k + lap / 2)
+    A = scipy.sparse.bmat([[Fy, Fp], [Ay, Ap]], format="csc")
+
+    y_init = np.asarray(problem.y0(xs_int), dtype=float)
+    y_init = np.broadcast_to(y_init, xs_int.shape).astype(float)
+    h1_lev = np.asarray([float(problem.h1(t)) for t in ts])
+    h2_lev = np.asarray([float(problem.h2(t)) for t in ts])
+
+    rhs_F = np.zeros((M, n_x))
+    rhs_A = np.zeros((M, n_x))
+    X, Th = np.meshgrid(xs_int, ts_half)
+    rhs_A[:, :] = np.asarray(problem.y_d(X, Th), dtype=float)
+    rhs_F[0] -= (y_init / k + (lap @ y_init) / 2)
+    rhs_A[0] -= y_init / 2
+    bnd_half1 = 0.5 * (h1_lev[:-1] + h1_lev[1:])
+    bnd_half2 = 0.5 * (h2_lev[:-1] + h2_lev[1:])
+    rhs_F[:, 0] -= bnd_half1 / h ** 2
+    rhs_F[:, -1] -= bnd_half2 / h ** 2
+    return A, np.concatenate([rhs_F.ravel(), rhs_A.ravel()])
+
+
+def fd_unknowns(fd):
+    """The FD solution's unknowns in fd_sparse_system's order."""
+    return np.concatenate([fd.y.values[1:, 1:-1].ravel(), fd.p.values[:-1, 1:-1].ravel()])

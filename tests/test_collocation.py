@@ -624,6 +624,21 @@ class TestPicard:
         assert info.iterations == info.max_iter == 200
         assert np.isfinite(info.last_change)
 
+    def test_sweeps_equal_lu_solve(self, ex1_solution_8):
+        # the sweeps call LAPACK getrs directly; lu_solve gives the same bits
+        _, system = ex1_solution_8
+        pic, info = rk.solve_picard(system, tol=1e-11, max_iter=6000)
+        n = len(system.node_set)
+        A, C = system.A, system.C
+        lu1 = scipy.linalg.lu_factor(A[:n, :n])
+        lu2 = scipy.linalg.lu_factor(A[n:, n:])
+        b1, b2 = np.zeros(n), np.zeros(n)
+        for _ in range(info.iterations):
+            b1, b2 = (scipy.linalg.lu_solve(lu1, C[:n] - A[:n, n:] @ b2),
+                      scipy.linalg.lu_solve(lu2, C[n:] - A[n:, :n] @ b1))
+        assert np.array_equal(pic.b1, b1)
+        assert np.array_equal(pic.b2, b2)
+
     def test_converges_with_extended_budget(self, ex1_solution_8):
         direct, system = ex1_solution_8
         pic, info = rk.solve_picard(system, tol=1e-11, max_iter=6000)

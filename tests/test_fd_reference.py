@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 import rkheat as rk
+from oracles import fd_sparse_system, fd_unknowns
 
 
 def unit_grid(n):
@@ -80,6 +85,85 @@ class TestSolveCoupledFD:
         assert all(2e-3 < e < 5e-3 for e in errs_y)
         trace_bound = problem.nu * 0.06912
         assert all(0.9 * trace_bound < e < 1.3 * trace_bound for e in errs_p)
+
+
+def general_problem(nu, a, b, T):
+    """Non-zero target, boundary and initial data, consistent at the corners."""
+    def s(x):
+        return (np.asarray(x, dtype=float) - a) / (b - a)
+
+    def h1(t):
+        return 1.0 + np.sin(3.0 * np.asarray(t, dtype=float) / T)
+
+    def h2(t):
+        return 0.5 * np.cos(2.0 * np.asarray(t, dtype=float) / T)
+
+    return rk.ControlProblem(
+        a=a, b=b, T=T, nu=nu,
+        y_d=lambda x, t: np.cos(np.pi * s(x)) * np.exp(-np.asarray(t, dtype=float) / T),
+        h1=h1, h2=h2,
+        y0=lambda x: h1(0.0) * (1.0 - s(x)) + h2(0.0) * s(x) + np.sin(np.pi * s(x)))
+
+
+class TestModeSolve:
+    """The sine-mode solve against the whole system assembled as one sparse matrix."""
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0, 1.0), (100.0, 101.0, 1.0),
+                                        (0.0, 10.0, 5.0), (0.0, 0.01, 0.01)], ids=str)
+    @pytest.mark.parametrize("nu", [1e-8, 1e-6, 1e-2, 1e2])
+    def test_backward_error(self, nu, domain):
+        a, b, T = domain
+        problem = general_problem(nu, a, b, T)
+        grid = rk.SpaceTimeGrid(n_x=40, n_t=23, interval=(a, b), horizon=T)
+        A, rhs = fd_sparse_system(problem, grid)
+        z = fd_unknowns(rk.solve_coupled_fd(problem, grid))
+        norm_A = abs(A).sum(axis=1).max()
+        err = (np.abs(A @ z - rhs).max()
+               / (norm_A * np.abs(z).max() + np.abs(rhs).max()))
+        assert err <= 1e-14                 # <= 5e-16 measured
+
+    @pytest.mark.parametrize("shape", [(64, 64), (99, 99), (10, 37), (50, 7)],
+                             ids=lambda s: "%dx%d" % s)
+    @pytest.mark.parametrize("example_id", [1, 2, 3])
+    def test_matches_sparse_solve(self, example_id, shape):
+        problem, _ = rk.builtin_example(example_id, nu=1e-2)
+        grid = rk.SpaceTimeGrid(n_x=shape[0], n_t=shape[1], interval=problem.interval,
+                                horizon=problem.T)
+        A, rhs = fd_sparse_system(problem, grid)
+        ref = scipy.sparse.linalg.spsolve(A, rhs)
+        z = fd_unknowns(rk.solve_coupled_fd(problem, grid))
+        assert np.abs(z - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestNamedFailures:
+    @pytest.mark.parametrize("field", ["y0", "h1", "h2", "y_d"])
+    def test_non_finite_data_named(self, field):
+        problem = general_problem(1e-2, 0.0, 1.0, 1.0)
+        good = getattr(problem, field)
+        if field == "y_d":
+            bad = lambda x, t: np.where(np.asarray(t) < 0.3, np.nan, good(x, t))
+        else:
+            # the corners stay finite, so ControlProblem itself accepts it
+            bad = lambda v: np.where((0.0 < np.asarray(v)) & (np.asarray(v) < 0.3),
+                                     np.inf, good(v))
+        problem = dataclasses.replace(problem, **{field: bad})
+        grid = unit_grid(9)                 # nodes at multiples of 0.1
+        count = {"y0": 2, "h1": 2, "h2": 2, "y_d": 3 * 9}[field]
+        with pytest.raises(ValueError, match=f"{field} is not finite at {count} of "):
+            rk.solve_coupled_fd(problem, grid)
+
+    def test_banded_failure_is_singular_discretization(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("singular matrix")
+        monkeypatch.setattr(scipy.linalg, "solve_banded", singular)
+        with pytest.raises(rk.SingularDiscretization, match="singular matrix"):
+            rk.solve_coupled_fd(zero_problem(), unit_grid(6))
+
+    def test_non_finite_solution_is_singular_discretization(self, monkeypatch):
+        monkeypatch.setattr(scipy.linalg, "solve_banded",
+                            lambda l_and_u, ab, b, **kwargs: np.full_like(b, np.nan))
+        with pytest.raises(rk.SingularDiscretization, match="non-finite"):
+            rk.solve_coupled_fd(zero_problem(), unit_grid(6))
 
 
 class TestErrorVsExact:

@@ -1,8 +1,9 @@
 """What `import rkheat` loads, checked in a fresh interpreter.
 
-The kernel solver needs numpy and scipy.linalg only; scipy.sparse and
-scipy.interpolate belong to the finite-difference cross-check and must be
-loaded on its first use, not at import.
+The kernel solver and the finite-difference solve need numpy and
+scipy.linalg only; scipy.interpolate (which itself loads scipy.sparse)
+belongs to self_convergence and must be loaded on its first use, not at
+import.
 """
 
 import json
@@ -45,6 +46,5 @@ def test_fd_modules_load_on_first_use():
     assert steps["import"] == {"scipy.linalg": True, "scipy.sparse": False,
                                "scipy.interpolate": False, "scipy.optimize": False,
                                "scipy.special": False}
-    assert steps["solve_coupled_fd"]["scipy.sparse"]
-    assert not steps["solve_coupled_fd"]["scipy.interpolate"]
+    assert steps["solve_coupled_fd"] == steps["import"]
     assert steps["self_convergence"]["scipy.interpolate"]

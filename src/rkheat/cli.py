@@ -65,7 +65,6 @@ class RunConfig:
     n_x: int = 8
     n_t: int = 8
     eval_grid: tuple[int, int] = (101, 101)
-    ridge_lambda: float = 0.0
     mode: str = "direct"
     output_dir: str = "."
     slice_times: str = "prose"
@@ -79,10 +78,6 @@ class RunConfig:
             raise UsageError("node counts must be >= 1 and eval grid >= 2 per axis")
         if self.mode not in ("direct", "picard"):
             raise UsageError(f"mode must be direct or picard, got {self.mode!r}")
-        if not 0 <= self.ridge_lambda < math.inf:
-            raise UsageError(f"ridge must be >= 0 and finite, got {self.ridge_lambda}")
-        if self.ridge_lambda > 0 and self.mode == "picard":
-            raise UsageError("ridge applies to the direct solve only, not to --mode picard")
         if self.slice_times not in ("prose", "caption"):
             raise UsageError("slice-times must be prose or caption")
 
@@ -148,7 +143,7 @@ def _run_pipeline(cfg: RunConfig):
     if cfg.mode == "picard":
         sol, _ = solve_picard(system)
     else:
-        sol = solve(system, ridge_lambda=cfg.ridge_lambda)
+        sol = solve(system)
     return problem, exact, sol
 
 
@@ -315,7 +310,6 @@ def _add_common(sub) -> None:
     sub.add_argument("--nu", type=float)
     sub.add_argument("--nx", dest="n_x", type=int, metavar="NX")
     sub.add_argument("--nt", dest="n_t", type=int, metavar="NT")
-    sub.add_argument("--ridge", dest="ridge_lambda", type=float, metavar="RIDGE")
     sub.add_argument("--mode", metavar="{direct,picard}")
     sub.add_argument("--eval-grid", type=_parse_dims, metavar="NXxNT")
     sub.add_argument("--out", dest="output_dir", metavar="DIR")

@@ -220,12 +220,13 @@ def standard_kernels(interval, horizon):
 
 
 # Peak bytes of a solve as a multiple of |A| = (2n)^2 * 8 B, keyed on
-# whether A is kept as factor pairs (tensor node sets).  The worst path is
-# the ridge solve, which holds Aeq and G = Aeq^T Aeq at once: 2 |A|, or
-# 3 |A| beside a dense A (tracemalloc: 2.00 and 3.00 at 24^2 and 32^2
-# nodes).  The direct solve holds Aeq and a block of rows: 1.14-1.26 |A|,
-# or 2.13-2.23 |A| with a dense A.
-_PEAK_PER_A = {True: 2.0, False: 3.0}
+# whether A is kept as factor pairs (tensor node sets).  Tracemalloc at
+# 24^2 and 32^2 nodes: the direct solve holds Aeq and a block of rows,
+# 1.14-1.26 |A|, or 2.13-2.23 |A| beside a dense A; Picard holds A and
+# copies of its diagonal blocks, 1.50-1.51 |A| either way.  The guard adds
+# ~0.25 |A| to the worst path.  The block of rows is a fixed cost under
+# 1 MB, a larger share of a small |A| (1.65 and 2.54 |A| at 16^2 nodes).
+_PEAK_PER_A = {True: 1.75, False: 2.5}
 
 
 def _physical_memory():
@@ -495,7 +496,7 @@ def _round3(cond):
     return float(f"{cond:.3g}") if np.isfinite(cond) else np.inf
 
 
-def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
+def solve(system: CollocationSystem) -> "Solution":
     """Solve the collocation system with one LU factorization.
 
     A is read in blocks of rows and columns only, so on a tensor node set,
@@ -504,21 +505,16 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
     Aeq = D^-1 A from column blocks and takes the row scales D (each row's
     max magnitude) on the way, the refinement residual and the final
     residual each rebuild the rows.  Aeq is factored in place by LU with
-    partial pivoting.  info["cond"] holds 1-norm condition estimates of A
+    partial pivoting; a zero pivot raises NumericallySingular.  The
+    factors solve the system, then one step of iterative refinement
+    corrects b.  info["cond"] holds 1-norm condition estimates of A
     ("pre") and Aeq ("post"), both from Aeq's factors: "post" is LAPACK
     gecon, "pre" is ||A||_1 times the Hager-Higham estimate of
-    ||A^-1||_1 = ||Aeq^-1 D^-1||_1.  No inverse is formed.  ridge_lambda = 0
-    solves with the factors plus one step of iterative refinement.
+    ||A^-1||_1 = ||Aeq^-1 D^-1||_1.  No inverse is formed.
     info["solver"] records the componentwise (Oettli-Prager) backward error
     max_i |A b - C|_i / (|A| |b| + |C|)_i, 0 on rows where the denominator
     is 0, and the refinement change ||db||_inf / ||b||_inf.
-    ridge_lambda > 0 solves the regularized normal equations
-    (Aeq^T Aeq + lambda ||Aeq||_F^2 I) b = Aeq^T Ceq of the equilibrated
-    system, refilling Aeq once its factors are dropped; it takes no
-    refinement step, so its refinement change is None.
     """
-    if ridge_lambda < 0:
-        raise ValueError("ridge_lambda must be >= 0")
     # Fortran order, or lu_factor copies Aeq whatever overwrite_a says
     Aeq, d, norm_1, norm_1_eq = _equilibrated(system)
     Ceq = system.C / d
@@ -533,34 +529,18 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
     del Aeq                          # overwritten by its factors
     lu = factors[0]
     if np.abs(np.diag(lu)).min() == 0.0:
-        if ridge_lambda == 0.0:
-            raise NumericallySingular("LU factorization hit an exactly zero pivot")
-        cond = {"pre": np.inf, "post": np.inf}
-    else:
-        rcond, _ = scipy.linalg.lapack.dgecon(lu, norm_1_eq, norm="1")
-        inv_norm = _inverse_norm_1(
-            lambda v: scipy.linalg.lu_solve(factors, v / d, check_finite=False),
-            lambda v: scipy.linalg.lu_solve(factors, v, trans=1, check_finite=False) / d,
-            len(d))
-        cond = {"pre": _round3(norm_1 * inv_norm),
-                "post": _round3(1.0 / rcond) if rcond > 0 else np.inf}
+        raise NumericallySingular("LU factorization hit an exactly zero pivot")
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, norm_1_eq, norm="1")
+    inv_norm = _inverse_norm_1(
+        lambda v: scipy.linalg.lu_solve(factors, v / d, check_finite=False),
+        lambda v: scipy.linalg.lu_solve(factors, v, trans=1, check_finite=False) / d,
+        len(d))
+    cond = {"pre": _round3(norm_1 * inv_norm),
+            "post": _round3(1.0 / rcond) if rcond > 0 else np.inf}
 
-    if ridge_lambda == 0.0:
-        b = scipy.linalg.lu_solve(factors, Ceq)
-        db = scipy.linalg.lu_solve(factors, Ceq - _product(system, b, d))
-        b = b + db
-    else:
-        del factors, lu              # before Aeq is rebuilt, so the two never coexist
-        Aeq = _equilibrated(system)[0]
-        lam = ridge_lambda * np.linalg.norm(Aeq, "fro") ** 2
-        G = Aeq.T @ Aeq
-        G.flat[::len(G) + 1] += lam
-        rhs = Aeq.T @ Ceq
-        del Aeq                      # G is then the only 2n x 2n array
-        try:
-            b = scipy.linalg.solve(G, rhs, assume_a="pos", overwrite_a=True)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NumericallySingular(f"regularized solve failed: {exc}") from exc
+    b = scipy.linalg.lu_solve(factors, Ceq)
+    db = scipy.linalg.lu_solve(factors, Ceq - _product(system, b, d))
+    b = b + db
     if not np.isfinite(b).all():
         raise NumericallySingular("solution vector is not finite")
 
@@ -568,16 +548,12 @@ def solve(system: CollocationSystem, ridge_lambda: float = 0.0) -> "Solution":
     residual, scale = _residual(system, b)
     # a row with |A||b| + |C| = 0 has a zero residual: its ratio is 0
     backward_error = np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0)
-    change = None
-    if ridge_lambda == 0.0:
-        b_max = float(np.abs(b).max())
-        change = float(np.abs(db).max()) / b_max if b_max else 0.0
+    b_max = float(np.abs(b).max())
     info = {
         "cond": cond,
-        "ridge_lambda": ridge_lambda,
         "residual_max": float(residual.max()),
         "solver": {"backward_error": float(backward_error.max()),
-                   "refinement_change": change},
+                   "refinement_change": float(np.abs(db).max()) / b_max if b_max else 0.0},
     }
     return Solution(b1=b[:n], b2=b[n:], node_set=system.node_set,
                     kernels=system.kernels, hom=system.hom, info=info)

@@ -30,7 +30,7 @@ class KernelDomainMismatch(RKHeatError):
 
 
 class NumericallySingular(RKHeatError):
-    """Factorization detected rank deficiency beyond ridge repair."""
+    """The collocation system is singular or its solve is not finite."""
 
 
 class SingularDiscretization(RKHeatError):

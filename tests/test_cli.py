@@ -102,11 +102,11 @@ class TestSolveCommand:
 
     def test_config_file_matches_flags(self, tmp_path, capsys):
         flags = ["--example", "2", "--nu", "0.05", "--nx", "3", "--nt", "2",
-                 "--eval-grid", "11x9", "--ridge", "1e-12", "--mode", "direct",
+                 "--eval-grid", "11x9", "--mode", "direct",
                  "--slice-times", "caption", "--out", str(tmp_path)]
         cfg = tmp_path / "run.cfg"
         cfg.write_text("example = 2\nnu = 0.05\nnx = 3\nnt = 2\neval_grid = 11x9\n"
-                       "ridge = 1e-12\nmode = direct\nslice_times = caption\n"
+                       "mode = direct\nslice_times = caption\n"
                        f"out = {tmp_path}\n")
         configs = []
         for argv in (["solve"] + flags, ["solve", "--config", str(cfg)]):
@@ -164,21 +164,27 @@ class TestFailureModes:
         assert rc == 2
         assert "frobnicate" in json.loads(capsys.readouterr().err.strip())["reason"]
 
-    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
-    def test_abbreviated_name_rejected(self, tmp_path, capsys, via_config):
-        argv = ["--ex", "2"]
+    @pytest.mark.parametrize("key, value, via_config", [
+        pytest.param("ex", "2", False, id="flag"),
+        pytest.param("ex", "2", True, id="config"),
+        pytest.param("ridge", "1e-12", False, id="ridge-flag"),
+    ])
+    def test_abbreviated_name_rejected(self, tmp_path, capsys, key, value, via_config):
+        # neither is a flag: --ex only abbreviates --example, and there is no --ridge
+        argv = [f"--{key}", value]
         if via_config:
-            (tmp_path / "run.cfg").write_text("ex = 2\n")
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
             argv = ["--config", str(tmp_path / "run.cfg")]
         rc = cli.main(["solve"] + argv + ["--out", str(tmp_path)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "UsageError"
-        assert "--ex" in err["reason"]
+        assert f"--{key}" in err["reason"]
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("line,name", [("nx = four", "--nx"), ("mode = picrad", "mode"),
-                                           ("config = other.cfg", "config")])
+                                           ("config = other.cfg", "config"),
+                                           ("ridge = 1e-12", "--ridge")])
     def test_bad_config_value(self, tmp_path, capsys, line, name):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
@@ -188,8 +194,7 @@ class TestFailureModes:
         assert err["error"] == "UsageError"
         assert name in err["reason"]
 
-    @pytest.mark.parametrize("argv", [["--nu", "nan"], ["--nu", "inf"], ["--ridge", "nan"]],
-                             ids=["nu-nan", "nu-inf", "ridge-nan"])
+    @pytest.mark.parametrize("argv", [["--nu", "nan"], ["--nu", "inf"]], ids=["nu-nan", "nu-inf"])
     def test_nonfinite_parameter_named(self, tmp_path, capsys, argv):
         rc = cli.main(SOLVE_ARGS + argv + ["--out", str(tmp_path)])
         assert rc == 2
@@ -203,7 +208,7 @@ class TestFailureModes:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "UsageError"
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        def boom(system, ridge_lambda):
+        def boom(system):
             raise NumericallySingular("synthetic failure")
         monkeypatch.setattr(cli, "solve", boom)
         rc = cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
@@ -212,15 +217,7 @@ class TestFailureModes:
         assert err["error"] == "NumericallySingular"
         assert err["reason"] == "synthetic failure"
 
-    def test_ridge_with_picard_rejected(self, capsys):
-        rc = cli.main(SOLVE_ARGS + ["--mode", "picard", "--ridge", "1e-6"])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "UsageError"
-        assert "picard" in err["reason"]
-
-    @pytest.mark.parametrize("mode_args", [[], ["--ridge", "1e-12"], ["--mode", "picard"]],
-                             ids=["direct", "ridge", "picard"])
+    @pytest.mark.parametrize("mode_args", [[], ["--mode", "picard"]], ids=["direct", "picard"])
     def test_nonfinite_target_named(self, tmp_path, capsys, monkeypatch, mode_args):
         def example_with_nan_target(example_id, nu):
             problem, exact = builtin_example(example_id, nu=nu)
@@ -235,7 +232,7 @@ class TestFailureModes:
         assert "y_d - y_hat is not finite at 4 of 16 nodes" in err["reason"]
 
     def test_size_over_physical_memory_refused(self, tmp_path, capsys, monkeypatch):
-        # 4x4 nodes: 2 * 32^2 * 8 B = 16 KB estimated against an 8 KB budget
+        # 4x4 nodes: 1.75 * 32^2 * 8 B = 14 KB estimated against an 8 KB budget
         monkeypatch.setattr(collocation, "_physical_memory", lambda: 2 ** 13)
         rc = cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
         assert rc == 2

@@ -116,18 +116,18 @@ class TestAssemble:
     def test_footprint_over_physical_memory_refused(self, ex1_case, unit_kernels,
                                                     monkeypatch):
         _, _, hom = ex1_case
-        nodes = rk.generate_nodes(16, 16, UNIT)      # |A| = 512^2 * 8 B = 2 MB
-        monkeypatch.setattr(collocation, "_physical_memory", lambda: 3 * 2 ** 20)
-        with pytest.raises(ValueError, match="256 nodes need an estimated 4 MB "
-                                             "for the dense 512x512 solve, more "
-                                             "than the 3 MB of physical memory"):
+        nodes = rk.generate_nodes(24, 24, UNIT)      # |A| = 1152^2 * 8 B = 10.1 MB
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: 16 * 2 ** 20)
+        with pytest.raises(ValueError, match="576 nodes need an estimated 18 MB "
+                                             "for the dense 1152x1152 solve, more "
+                                             "than the 16 MB of physical memory"):
             rk.assemble(hom, nodes, unit_kernels)
 
-    @pytest.mark.parametrize("layout, per_a", [("grid", 2.0), ("jittered", 3.0)])
+    @pytest.mark.parametrize("layout, per_a", [("grid", 1.75), ("jittered", 2.5)])
     def test_footprint_estimate_per_representation(self, layout, per_a, ex1_case,
                                                    unit_kernels, monkeypatch):
-        # a ridge solve holds Aeq and G: 2 |A| from factor pairs, 3 |A|
-        # beside a dense A
+        # the worst path is Picard (1.5 |A|) from factor pairs and the
+        # direct solve (2.2 |A|) beside a dense A, each with a margin
         _, _, hom = ex1_case
         nodes = node_layout(layout, 2)
         estimate = per_a * 8 ** 2 * 8
@@ -139,21 +139,22 @@ class TestAssemble:
         monkeypatch.setattr(collocation, "_physical_memory", lambda: None)
         rk.assemble(hom, nodes, unit_kernels)
 
-    @pytest.mark.parametrize("dense, per_a", [(False, 2.0), (True, 3.0)])
-    def test_footprint_estimate_covers_ridge_solve(self, dense, per_a):
-        # the ridge solve is the worst path: Aeq and G, beside A where A is
-        # stored; buffers and vectors add a fixed cost of well under 1 MB
+    @pytest.mark.parametrize("mode", ["direct", "picard"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["tensor", "dense"])
+    def test_footprint_estimate_covers_every_solve(self, dense, mode):
+        # counting A where it is stored; buffers and vectors add a fixed
+        # cost of well under 1 MB
         _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
         size = system.C.size ** 2 * 8
         if dense:
             system = dense_backed(system, system.A)
         tracemalloc.start()
         try:
-            rk.solve(system, ridge_lambda=1e-12)
+            (rk.solve if mode == "direct" else rk.solve_picard)(system)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak + dense * size <= per_a * size + 2 ** 20
+        assert peak + dense * size <= collocation._PEAK_PER_A[not dense] * size + 2 ** 20
 
     @pytest.mark.parametrize("n_x, n_t", [(4, 4), (5, 7), (24, 24)])
     def test_factor_rows_match_gather(self, n_x, n_t, ex1_case, unit_kernels):
@@ -314,11 +315,9 @@ class TestSolve:
         assert sol.info["solver"]["backward_error"] == pytest.approx(want, rel=1e-12, abs=0)
         assert sol.info["solver"]["backward_error"] < 1e-15
 
-    @pytest.mark.parametrize("ridge_lambda", [0.0, 1e-12])
-    def test_three_builds_of_a_per_solve(self, ridge_lambda, ex1_case, unit_kernels,
-                                         monkeypatch):
+    def test_three_builds_of_a_per_solve(self, ex1_case, unit_kernels, monkeypatch):
         # the fill of Aeq (which also gives the row scales), then the
-        # refinement residual or the ridge's refill, then the final residual
+        # refinement residual, then the final residual
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(6, 5, UNIT), unit_kernels)
         built = []
@@ -329,32 +328,8 @@ class TestSolve:
             return rows(self, i, j, out)
 
         monkeypatch.setattr(collocation._KroneckerBlocks, "rows", counting)
-        rk.solve(system, ridge_lambda=ridge_lambda)
+        rk.solve(system)
         assert sum(built) == 3 * len(system.C)
-
-    @pytest.mark.parametrize("example_id, nu, n", [
-        pytest.param(1, 1e-2, 8, id="1-8"),
-        pytest.param(2, 1e-2, 16, id="2-16"),
-        pytest.param(1, 1e-6, 14, id="1-14-nu1e-6"),
-    ])
-    def test_ridge_solves_regularized_normal_equations(self, example_id, nu, n,
-                                                       unit_kernels):
-        # (Aeq^T Aeq + lambda ||Aeq||_F^2 I) b = Aeq^T Ceq to rounding, for
-        # the row-equilibrated Aeq = D^-1 A; without the lambda term the
-        # residual is ~1e-12 of the scale
-        problem, _ = rk.builtin_example(example_id, nu=nu)
-        system = rk.assemble(rk.homogenize(problem), rk.generate_nodes(n, n, UNIT),
-                             unit_kernels)
-        ridge_lambda = 1e-12
-        sol = rk.solve(system, ridge_lambda=ridge_lambda)
-        b = np.concatenate([sol.b1, sol.b2])
-        A = system.A
-        d = np.abs(A).max(axis=1)
-        Aeq = A / d[:, None]
-        G = Aeq.T @ Aeq + ridge_lambda * np.linalg.norm(Aeq, "fro") ** 2 * np.eye(len(A))
-        r = Aeq.T @ (system.C / d)
-        scale = np.abs(G).sum(axis=1).max() * np.abs(b).max() + np.abs(r).max()
-        assert np.abs(G @ b - r).max() / scale <= 1e-15
 
     def test_one_lu_per_solve(self, ex1_solution_8, monkeypatch):
         _, system = ex1_solution_8
@@ -396,24 +371,11 @@ class TestSolve:
             tracemalloc.stop()
         assert peak <= 1.3 * 2048 ** 2 * 8
 
-    def test_ridge_extra_memory_two_matrices(self):
-        # Aeq and G = Aeq^T Aeq, G factored in place once Aeq is freed; an
-        # identity or a sum temporary for the ridge makes it 3 |A|
-        _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
-        tracemalloc.start()
-        try:
-            rk.solve(system, ridge_lambda=1e-12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.2 * system.A.nbytes
-
     def test_system_unchanged(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(4, 4, UNIT), unit_kernels)
         A, C = system.A.copy(), system.C.copy()
         rk.solve(system)
-        rk.solve(system, ridge_lambda=1e-12)
         assert np.array_equal(system.A, A) and np.array_equal(system.C, C)
 
     def test_zero_row_raises(self, ex1_case, unit_kernels):
@@ -431,30 +393,6 @@ class TestSolve:
         system = dense_backed(system, A)
         with pytest.raises(rk.NumericallySingular):
             rk.solve(system)
-
-    def test_ridge_on_singular_matrix(self, ex1_case, unit_kernels):
-        # the ridge solve is the fallback for a singular system: its
-        # condition estimates are infinite, its solution finite
-        _, _, hom = ex1_case
-        system = rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), unit_kernels)
-        A = system.A.copy()
-        A[3] = A[2]
-        system = dense_backed(system, A)
-        sol = rk.solve(system, ridge_lambda=1e-8)
-        assert sol.info["cond"] == {"pre": np.inf, "post": np.inf}
-        assert np.isfinite(sol.b1).all() and np.isfinite(sol.b2).all()
-
-    def test_ridge_path_finite(self, ex1_case, unit_kernels):
-        _, _, hom = ex1_case
-        system = rk.assemble(hom, rk.generate_nodes(4, 4, UNIT), unit_kernels)
-        sol = rk.solve(system, ridge_lambda=1e-12)
-        assert np.isfinite(sol.b1).all() and np.isfinite(sol.b2).all()
-        assert sol.info["solver"]["refinement_change"] is None
-
-    def test_invalid_config(self, ex1_solution_8):
-        _, system = ex1_solution_8
-        with pytest.raises(ValueError):
-            rk.solve(system, ridge_lambda=-1.0)
 
     def test_determinism_bitwise(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case

@@ -248,23 +248,24 @@ def _check_footprint(n: int, tensor: bool) -> None:
                          f"{budget / 2**20:.0f} MB of physical memory")
 
 
-def _kernel_columns(kernel, xs, coords, dx, dy, memo=None):
+def _kernel_columns(kernel, xs, coords, dx, dy, pieces, memo=None):
     """kernel_matrix(kernel, xs, coords, dx, dy), built once per memo.
 
-    On the coordinates themselves (assembly) a second-argument derivative
-    is the transpose of a first-argument one, by symmetry of the kernel,
-    so A has one fixed rounding: cond(A) ~1e13 amplifies its last bits.
-    A memo dict serves one call that applies several operators at the same
-    xs and coords, and is dropped with it; it holds the kernel it is keyed
-    on, so no key can be reused for another kernel.
+    pieces is kernel.pieces(coords), solved once by the caller's trial
+    space.  On the coordinates themselves (assembly) a second-argument
+    derivative is the transpose of a first-argument one, by symmetry of
+    the kernel, so A has one fixed rounding: cond(A) ~1e13 amplifies its
+    last bits.  A memo dict serves one call that applies several operators
+    at the same xs and coords, and is dropped with it; it holds the kernel
+    it is keyed on, so no key can be reused for another kernel.
     """
     key = (kernel, dx, dy)
     if memo is not None and key in memo:
         return memo[key]
     if xs is coords and dy > dx:
-        columns = kernel_matrix(kernel, coords, coords, dy, dx).T
+        columns = kernel_matrix(kernel, coords, coords, dy, dx, pieces=pieces).T
     else:
-        columns = kernel_matrix(kernel, xs, coords, dx, dy)
+        columns = kernel_matrix(kernel, xs, coords, dx, dy, pieces=pieces)
     if memo is not None:
         memo[key] = columns
     return columns
@@ -276,16 +277,19 @@ class _TrialSpace:
     sign is the time sign of the field's operator (FORWARD for the state,
     ADJOINT for the adjoint).  The node set's distinct x and t coordinates
     ux, ut carry the 1-D kernel columns; the inverse indices ix, it map
-    each node back to them.  tensor says whether the nodes are the full
-    t-major tensor grid ut x ux.  Operators are tuples of (coef, dx, dt)
-    terms; a memo dict, where given, shares 1-D kernel matrices between
-    the calls of one evaluation.
+    each node back to them.  The kernels' pieces on ux and ut are solved
+    once here and serve every later kernel matrix of the space.  tensor
+    says whether the nodes are the full t-major tensor grid ut x ux.
+    Operators are tuples of (coef, dx, dt) terms; a memo dict, where
+    given, shares 1-D kernel matrices between the calls of one evaluation.
     """
 
     def __init__(self, kernel: TensorKernel, sign: float, nodes: NodeSet):
         self.kernel, self.sign = kernel, sign
         self.ux, self.ix = np.unique(nodes.nodes[:, 0], return_inverse=True)
         self.ut, self.it = np.unique(nodes.nodes[:, 1], return_inverse=True)
+        self.px = kernel.spatial.pieces(self.ux)
+        self.pt = kernel.temporal.pieces(self.ut, max_dy=1)   # psi_j takes T_.,0 and T_.,1
         n, nx = len(nodes), len(self.ux)
         self.tensor = (len(self.ut) * nx == n
                        and np.array_equal(self.it * nx + self.ix, np.arange(n)))
@@ -306,8 +310,8 @@ class _TrialSpace:
         S, T = self.kernel.spatial, self.kernel.temporal
         for coef, dx, dt in op:
             for c, sy, ty in ((coef * self.sign, 0, 1), (coef, 2, 0)):
-                yield (c * _kernel_columns(S, xs, self.ux, dx, sy, memo),
-                       _kernel_columns(T, ts, self.ut, dt, ty, memo))
+                yield (c * _kernel_columns(S, xs, self.ux, dx, sy, self.px, memo),
+                       _kernel_columns(T, ts, self.ut, dt, ty, self.pt, memo))
 
     def pairs(self, op, memo=None):
         """The factor pairs of op psi_j at the nodes: one block of A."""

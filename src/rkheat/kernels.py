@@ -22,9 +22,12 @@ implicit differentiation of that condition system: the y-dependent rows
 (continuity and jump) are differentiated in y, giving a recurrence for the
 derivative coefficient vectors.  No finite differences are involved.
 
-Kernel objects are immutable after construction.  Coefficient solves are
-memoized per second argument; the cache is only ever extended, so concurrent
-readers are safe under the GIL.
+The pieces of a set of second arguments are solved together: the rows
+that do not depend on y are built once per kernel, the knot rows of all
+centres at once, and one stacked inverse serves the whole set.  Kernel
+objects are immutable after construction and hold no per-centre state, so
+concurrent readers are safe; callers that evaluate one node set many
+times keep its pieces themselves and pass them to kernel_matrix.
 """
 
 from __future__ import annotations
@@ -92,12 +95,22 @@ class SpaceSpec:
         return {order for p, order in self.constraints if p == point}
 
 
-def _deriv_row(point, order, ncoef):
-    """Coefficient row of d^order/dx^order sum_i c_i x^i evaluated at x=point."""
-    row = np.zeros(ncoef)
-    for i in range(order, ncoef):
-        row[i] = math.perm(i, order) * point ** (i - order)
-    return row
+def _deriv_rows(points, ncoef):
+    """Coefficient rows of d^order/dx^order sum_i c_i x^i at each point.
+
+    Shape (len(points), ncoef, ncoef): entry [j, order, i] is
+    perm(i, order) p_j^(i - order), zero for i < order.  The powers are
+    Python float ** (C pow): numpy's array power rounds differently, and
+    the kernel matrices of random centres would move by up to ~6e-14 of
+    their largest entry.
+    """
+    powers = np.array([[p ** i for i in range(ncoef)] for p in points],
+                      dtype=float).reshape(len(points), ncoef)
+    rows = np.zeros((len(points), ncoef, ncoef))
+    for order in range(ncoef):
+        perms = np.array([math.perm(i, order) for i in range(order, ncoef)], dtype=float)
+        rows[:, order, order:] = perms * powers[:, :ncoef - order]
+    return rows
 
 
 class Kernel1D:
@@ -105,14 +118,16 @@ class Kernel1D:
 
     For each second argument y the kernel is two polynomial pieces of degree
     2m+1 in x - a (coefficient length 2m+2): the left piece on [a, y] and
-    the right piece on (y, b].  ``coefficients`` returns the pieces of the dy-th
-    derivative of k with respect to its second argument, computed by the
+    the right piece on (y, b].  ``pieces`` returns them for a set of centres
+    and every dy-th derivative with respect to the second argument, by the
     implicit-differentiation recurrence described in the module docstring.
+    The kernel holds only its spec and the condition rows that do not
+    depend on y; whoever evaluates on a node set keeps that set's pieces.
     """
 
     def __init__(self, spec: SpaceSpec):
         self.spec = spec
-        self._memo = {}
+        self._fixed = self._fixed_rows()
 
     @property
     def piece_length(self) -> int:
@@ -120,139 +135,134 @@ class Kernel1D:
 
     # -- condition system ------------------------------------------------
 
-    def _condition_matrix(self, y, shift=0):
-        """The 4m+4 square condition matrix.
+    def _fixed_rows(self):
+        """The condition rows that do not depend on y.
 
-        shift > 0 returns the matrix of the y-dependent rows differentiated
-        shift times with respect to y (constraint and natural-boundary rows,
-        which do not depend on y, are zeroed); rows whose derivative order
-        exceeds the piece degree vanish.  The rows are written in the local
+        The constraints, then the natural boundary rows for unconstrained
+        orders 0..m at a and at b.  The rows are written in the local
         coordinate x - a, on [0, b - a]: in powers of x itself the system is
         numerically rank deficient on an interval such as [100, 101].
         """
-        m = self.spec.order_m
-        a, b = 0.0, self.spec.b - self.spec.a
-        y = y - self.spec.a
-        nc = self.piece_length
+        m, nc = self.spec.order_m, self.piece_length
+        ends = _deriv_rows([0.0, self.spec.b - self.spec.a], nc)
+
+        def row(point, order):
+            return ends[1 if point == "b" else 0, order]
+
+        zero = np.zeros(nc)
         rows = []
-
-        def fixed(row_left, row_right):
-            if shift > 0:
-                rows.append(np.zeros(2 * nc))
-            else:
-                rows.append(np.concatenate([row_left, row_right]))
-
         # constraints: left piece carries conditions at a, right piece at b
         for point, order in self.spec.constraints:
-            r = _deriv_row(a if point == "a" else b, order, nc)
-            if point == "a":
-                fixed(r, np.zeros(nc))
-            else:
-                fixed(np.zeros(nc), r)
-
-        # natural boundary rows for unconstrained orders 0..m
+            r = row(point, order)
+            rows.append(np.concatenate([r, zero] if point == "a" else [zero, r]))
         con_a = self.spec.constrained_orders("a")
         con_b = self.spec.constrained_orders("b")
         for i in range(m + 1):
             if i not in con_a:
                 if i == 0:
-                    r = _deriv_row(a, 2 * m + 1, nc)
+                    r = row("a", 2 * m + 1)
                 else:
-                    r = (_deriv_row(a, i, nc)
-                         - (-1.0) ** (m - i) * _deriv_row(a, 2 * m + 1 - i, nc))
-                fixed(r, np.zeros(nc))
+                    r = row("a", i) - (-1.0) ** (m - i) * row("a", 2 * m + 1 - i)
+                rows.append(np.concatenate([r, zero]))
         for i in range(m + 1):
             if i not in con_b:
-                fixed(np.zeros(nc), _deriv_row(b, 2 * m + 1 - i, nc))
+                rows.append(np.concatenate([zero, row("b", 2 * m + 1 - i)]))
+        return np.array(rows).reshape(-1, 2 * nc)
 
-        # continuity of derivatives 0..2m at the knot, then the jump row;
-        # these depend on y and are the rows the shift applies to
-        for d in range(2 * m + 1):
-            order = d + shift
-            if order <= 2 * m + 1:
-                r = _deriv_row(y, order, nc)
-            else:
-                r = np.zeros(nc)
-            rows.append(np.concatenate([r, -r]))
-        order = 2 * m + 1 + shift
-        if order <= 2 * m + 1:
-            r = _deriv_row(y, order, nc)
-        else:
-            r = np.zeros(nc)
-        rows.append(np.concatenate([-r, r]))
-        return np.array(rows)
+    def _condition_matrices(self, rows, shift=0):
+        """The 4m+4 condition matrices of the centres of a _deriv_rows table.
 
-    def _solve_chain(self, y, max_dy):
-        """Coefficient vectors of d^k k / dy^k for k = 0..max_dy at this y."""
+        Shape (k, 4m+4, 4m+4): the fixed rows, then continuity of
+        derivatives 0..2m at the knot and the jump row.  shift > 0 returns
+        the matrices of the knot rows differentiated shift times with
+        respect to y, with the fixed rows zeroed; rows whose derivative
+        order exceeds the piece degree vanish.
+        """
+        nc = self.piece_length
+        nf = len(self._fixed)
+        out = np.zeros((len(rows), nf + nc, 2 * nc))
+        if shift == 0:
+            out[:, :nf] = self._fixed
+        knot = rows[:, shift:]                   # knot row d has order d + shift
+        out[:, nf:nf + nc - shift, :nc] = knot
+        out[:, nf:nf + nc - shift, nc:] = -knot
+        if shift == 0:                           # the jump row is [-r, r]
+            out[:, -1, :nc] = -knot[:, -1]
+            out[:, -1, nc:] = knot[:, -1]
+        return out
+
+    def pieces(self, ys, max_dy=2):
+        """Coefficients of d^dy k(., y)/dy^dy for every centre y in ys.
+
+        Shape (len(ys), max_dy + 1, 2 (2m+2)): entry [j, dy] is the left
+        piece followed by the right piece.  One stacked inverse serves all
+        centres.  A centre whose matrix is singular, or whose inverse is not
+        finite, is solved by least squares, and raises
+        SingularConditionSystem unless that solution satisfies the system.
+        """
         m = self.spec.order_m
-        e = np.zeros(4 * m + 4)
-        e[-1] = (-1.0) ** (m + 1)
-        M0 = self._condition_matrix(y)
+        ys = [float(y) for y in np.ravel(ys)]
+        rows = _deriv_rows([y - self.spec.a for y in ys], self.piece_length)
+        M0 = self._condition_matrices(rows)
         try:
-            lu = np.linalg.inv(M0)
+            inv = np.linalg.inv(M0)
         except np.linalg.LinAlgError:
-            lu = None
-        if lu is not None and not np.isfinite(lu).all():
-            lu = None
+            inv = np.array([_inverse_or_nan(M) for M in M0])
+        bad = np.flatnonzero(~np.isfinite(inv).all(axis=(1, 2)))
+        inv[bad] = 0.0
 
         def solve(rhs):
-            if lu is not None:
-                return lu @ rhs
-            sol, _, rank, _ = np.linalg.lstsq(M0, rhs, rcond=None)
-            if not np.isfinite(sol).all() or np.abs(M0 @ sol - rhs).max() > 1e-8 * (1 + np.abs(rhs).max()):
-                raise SingularConditionSystem(
-                    f"condition system is rank deficient at y={y} "
-                    f"(rank {rank} of {M0.shape[0]})")
+            sol = np.matmul(inv, rhs[..., None])[..., 0]
+            for i in bad:
+                sol[i] = _checked_lstsq(M0[i], rhs[i], ys[i])
             return sol
 
+        e = np.zeros((len(ys), 4 * m + 4))
+        e[:, -1] = (-1.0) ** (m + 1)
         sols = [solve(e)]
-        shifted = {}
+        shifted = [self._condition_matrices(rows, shift=j) for j in range(1, max_dy + 1)]
         for k in range(1, max_dy + 1):
-            rhs = np.zeros(4 * m + 4)
+            rhs = np.zeros_like(e)
             for j in range(1, k + 1):
-                if j not in shifted:
-                    shifted[j] = self._condition_matrix(y, shift=j)
-                rhs -= math.comb(k, j) * (shifted[j] @ sols[k - j])
+                rhs -= math.comb(k, j) * np.matmul(shifted[j - 1], sols[k - j][..., None])[..., 0]
             sols.append(solve(rhs))
-        return sols
-
-    def coefficients(self, y, dy=0):
-        """(left, right) coefficient vectors of d^dy k(., y)/dy^dy."""
-        y = float(y)
-        cached = self._memo.get(y)
-        if cached is None or len(cached) <= dy:
-            cached = self._solve_chain(y, max(dy, 2))
-            self._memo[y] = cached
-        nc = self.piece_length
-        c = cached[dy]
-        return c[:nc], c[nc:]
+        return np.stack(sols, axis=1)
 
     # -- evaluation --------------------------------------------------------
+
+    def _check(self, points, name):
+        a, b = self.spec.interval
+        tol = 1e-12 * (b - a)
+        outside = (points < a - tol) | (points > b + tol)
+        if outside.any():
+            where = f"={points[outside][0]}" if name == "y" else ""
+            raise OutOfDomain(f"{name}{where} outside [{a}, {b}]")
 
     def eval(self, x, y, dx=0, dy=0):
         """d^dx/dx^dx d^dy/dy^dy k(x, y), vectorized over x.
 
-        The left piece is used at x = y (tie-break).  Derivative orders up
-        to 2m+1 are meaningful; beyond the piece degree the result is zero.
-        The pieces are polynomials in x - a, so the value is the kernel of
-        [0, b - a] at the shifted points x - a, y - a.
+        A one-column kernel_matrix: the left piece is used at x = y
+        (tie-break).  Derivative orders up to 2m+1 are meaningful; beyond
+        the piece degree the result is zero.
         """
-        a, b = self.spec.interval
-        tol = 1e-12 * (b - a)
-        xarr = np.asarray(x, dtype=float)
-        if float(y) < a - tol or float(y) > b + tol:
-            raise OutOfDomain(f"y={y} outside [{a}, {b}]")
-        if np.any(xarr < a - tol) or np.any(xarr > b + tol):
-            raise OutOfDomain(f"x outside [{a}, {b}]")
-        left, right = self.coefficients(y, dy)
-        if dx >= self.piece_length:
-            out = np.zeros_like(xarr)
-            return out if out.shape else float(out)
-        xs, ys = xarr - a, float(y) - a
-        lv = npoly.polyval(xs, npoly.polyder(left, dx)) if dx else npoly.polyval(xs, left)
-        rv = npoly.polyval(xs, npoly.polyder(right, dx)) if dx else npoly.polyval(xs, right)
-        out = np.where(xs <= ys, lv, rv)
+        out = kernel_matrix(self, x, [y], dx, dy)[:, 0].reshape(np.shape(x))
         return out if out.shape else float(out)
+
+
+def _inverse_or_nan(M):
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return np.full_like(M, np.nan)
+
+
+def _checked_lstsq(M, rhs, y):
+    sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
+    if not np.isfinite(sol).all() or np.abs(M @ sol - rhs).max() > 1e-8 * (1 + np.abs(rhs).max()):
+        raise SingularConditionSystem(
+            f"condition system is rank deficient at y={y} "
+            f"(rank {rank} of {M.shape[0]})")
+    return sol
 
 
 def build_kernel(spec: SpaceSpec) -> Kernel1D:
@@ -263,28 +273,44 @@ def build_kernel(spec: SpaceSpec) -> Kernel1D:
     """
     kernel = Kernel1D(spec)
     a, b = spec.interval
-    for frac in (0.5, 0.25, 0.75):
-        y = a + frac * (b - a)
-        M = kernel._condition_matrix(y)
-        if np.linalg.matrix_rank(M) < M.shape[0]:
-            raise SingularConditionSystem(
-                "constraint set leads to a rank-deficient condition system "
-                f"(probe at y={y})")
-        kernel.coefficients(y)
+    probes = [a + frac * (b - a) for frac in (0.5, 0.25, 0.75)]
+    M = kernel._condition_matrices(_deriv_rows([y - a for y in probes], kernel.piece_length))
+    deficient = np.flatnonzero(np.linalg.matrix_rank(M) < M.shape[1])
+    if deficient.size:
+        raise SingularConditionSystem(
+            "constraint set leads to a rank-deficient condition system "
+            f"(probe at y={probes[deficient[0]]})")
+    kernel.pieces(probes)
     return kernel
 
 
-def kernel_matrix(kernel: Kernel1D, xs, ys, dx=0, dy=0) -> np.ndarray:
-    """Matrix [d^dx d^dy k(xs[i], ys[j])] built column by column.
+def kernel_matrix(kernel: Kernel1D, xs, ys, dx=0, dy=0, *, pieces=None) -> np.ndarray:
+    """Matrix [d^dx d^dy k(xs[i], ys[j])], one column per centre.
 
-    Coefficient solves are shared across rows through the per-y memo, so a
-    column costs one small linear solve plus a vectorized polynomial
-    evaluation.
+    pieces, where given, is kernel.pieces(ys) with at least dy + 1
+    derivative orders, kept by the caller across calls on the same centres;
+    otherwise it is solved here.  Each column is one polynomial evaluation
+    per piece at xs - a, the left piece at x <= y.
     """
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty((xs.size, len(ys)))
-    for j, y in enumerate(ys):
-        out[:, j] = kernel.eval(xs, float(y), dx=dx, dy=dy)
+    a = kernel.spec.a
+    xs = np.asarray(xs, dtype=float).ravel()
+    ys = np.asarray(ys, dtype=float).ravel()
+    kernel._check(ys, "y")
+    kernel._check(xs, "x")
+    nc = kernel.piece_length
+    if dx >= nc:
+        return np.zeros((xs.size, ys.size))
+    if pieces is None:
+        pieces = kernel.pieces(ys, dy)
+    coef = pieces[:, dy].reshape(-1, nc)
+    if dx:
+        coef = npoly.polyder(coef, dx, axis=1)
+    xl, yl = xs - a, ys - a
+    out = np.empty((xs.size, ys.size))
+    for j in range(ys.size):
+        lv = npoly.polyval(xl, coef[2 * j])
+        rv = npoly.polyval(xl, coef[2 * j + 1])
+        out[:, j] = np.where(xl <= yl[j], lv, rv)
     return out
 
 

@@ -141,13 +141,31 @@ def _zero_data_problem(nu, y_d):
                           y0=lambda x: 0.0 * np.asarray(x, dtype=float))
 
 
+def _per_distinct_t(f):
+    """f(t) evaluated once per distinct value of t, broadcast to t's shape.
+
+    Each entry equals f at that entry bitwise: f is elementwise, and on a
+    t-major grid its ** powers then run once per time level instead of once
+    per grid point.  Anything but an array of rank >= 1 is passed through,
+    so scalars keep Python's float **.
+    """
+    def per_t(t):
+        if not isinstance(t, np.ndarray) or t.ndim == 0:
+            return f(t)
+        distinct, inverse = np.unique(t, return_inverse=True)
+        return f(distinct)[inverse].reshape(np.shape(t))
+    return per_t
+
+
 def _example_fields(example_id, nu):
     """Closed forms and hand derivatives of the three benchmarks."""
     if example_id == 1:
         # y = t^2 (1-t)^3 x(x-1)
+        @_per_distinct_t
         def g(t):
             return t ** 2 * (1 - t) ** 3
 
+        @_per_distinct_t
         def gp(t):
             return 2 * t * (1 - t) ** 3 - 3 * t ** 2 * (1 - t) ** 2
 
@@ -156,15 +174,19 @@ def _example_fields(example_id, nu):
 
         # p = nu * (q(t) x(x-1) + r(t)) with q = 2t(t-1)^3 + 3t^2(t-1)^2,
         # r = -2 t^2 (t-1)^3; this equals nu*(-y_t + y_xx) identically.
+        @_per_distinct_t
         def q(t):
             return 2 * t * (t - 1) ** 3 + 3 * t ** 2 * (t - 1) ** 2
 
+        @_per_distinct_t
         def qp(t):
             return 2 * (t - 1) ** 3 + 12 * t * (t - 1) ** 2 + 6 * t ** 2 * (t - 1)
 
+        @_per_distinct_t
         def r(t):
             return -2 * t ** 2 * (t - 1) ** 3
 
+        @_per_distinct_t
         def rp(t):
             return -4 * t * (t - 1) ** 3 - 6 * t ** 2 * (t - 1) ** 2
 

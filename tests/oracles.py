@@ -11,8 +11,11 @@ two 1-D forms: boundary x boundary, boundary x integral, integral x
 boundary and integral x integral terms.  Everything here is polynomial,
 so 24-point panels are exact to machine precision.
 
-BasisFunction and tensor_eval evaluate one trial function and one tensor
-kernel value point by point, as references for the factored evaluation in
+ScalarKernel is the condition-system solver as it was written per centre:
+one scalar condition matrix, one inverse and one derivative chain per
+second argument, evaluated column by column.  The batched solve of the
+kernel module is pinned to it bitwise.  BasisFunction and tensor_eval
+evaluate one trial function and one tensor kernel value point by point, as references for the factored evaluation in
 the collocation module.  write_csv_reference is the row-by-row CSV writer
 that the CLI's output format is pinned to.  two_lu_solve is the
 equilibrated direct solve that keeps Aeq beside its factors and factors
@@ -26,13 +29,17 @@ must satisfy.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
-from rkheat.kernels import TensorKernel
+from numpy.polynomial import polynomial as npoly
+
+from rkheat.errors import SingularConditionSystem
+from rkheat.kernels import SpaceSpec, TensorKernel
 
 GAUSS_N = 24
 
@@ -147,6 +154,151 @@ def tensor_eval(K: TensorKernel, point, center, dx=0, dt=0):
     x, t = point
     r, s = center
     return K.spatial.eval(x, r, dx=dx) * K.temporal.eval(t, s, dx=dt)
+
+
+def _deriv_row(point, order, ncoef):
+    """Coefficient row of d^order/dx^order sum_i c_i x^i evaluated at x=point."""
+    row = np.zeros(ncoef)
+    for i in range(order, ncoef):
+        row[i] = math.perm(i, order) * point ** (i - order)
+    return row
+
+
+class ScalarKernel:
+    """The reproducing kernel of a SpaceSpec, solved one centre at a time.
+
+    Each centre's derivative chain is kept once solved, as the kernel
+    module once kept it.
+    """
+
+    def __init__(self, spec: SpaceSpec):
+        self.spec = spec
+        self._chains = {}
+
+    @property
+    def piece_length(self) -> int:
+        return 2 * self.spec.order_m + 2
+
+    def _condition_matrix(self, y, shift=0):
+        """The 4m+4 square condition matrix.
+
+        shift > 0 returns the matrix of the y-dependent rows differentiated
+        shift times with respect to y (constraint and natural-boundary rows,
+        which do not depend on y, are zeroed); rows whose derivative order
+        exceeds the piece degree vanish.  The rows are written in the local
+        coordinate x - a, on [0, b - a]: in powers of x itself the system is
+        numerically rank deficient on an interval such as [100, 101].
+        """
+        m = self.spec.order_m
+        a, b = 0.0, self.spec.b - self.spec.a
+        y = y - self.spec.a
+        nc = self.piece_length
+        rows = []
+
+        def fixed(row_left, row_right):
+            if shift > 0:
+                rows.append(np.zeros(2 * nc))
+            else:
+                rows.append(np.concatenate([row_left, row_right]))
+
+        # constraints: left piece carries conditions at a, right piece at b
+        for point, order in self.spec.constraints:
+            r = _deriv_row(a if point == "a" else b, order, nc)
+            if point == "a":
+                fixed(r, np.zeros(nc))
+            else:
+                fixed(np.zeros(nc), r)
+
+        # natural boundary rows for unconstrained orders 0..m
+        con_a = self.spec.constrained_orders("a")
+        con_b = self.spec.constrained_orders("b")
+        for i in range(m + 1):
+            if i not in con_a:
+                if i == 0:
+                    r = _deriv_row(a, 2 * m + 1, nc)
+                else:
+                    r = (_deriv_row(a, i, nc)
+                         - (-1.0) ** (m - i) * _deriv_row(a, 2 * m + 1 - i, nc))
+                fixed(r, np.zeros(nc))
+        for i in range(m + 1):
+            if i not in con_b:
+                fixed(np.zeros(nc), _deriv_row(b, 2 * m + 1 - i, nc))
+
+        # continuity of derivatives 0..2m at the knot, then the jump row;
+        # these depend on y and are the rows the shift applies to
+        for d in range(2 * m + 1):
+            order = d + shift
+            if order <= 2 * m + 1:
+                r = _deriv_row(y, order, nc)
+            else:
+                r = np.zeros(nc)
+            rows.append(np.concatenate([r, -r]))
+        order = 2 * m + 1 + shift
+        if order <= 2 * m + 1:
+            r = _deriv_row(y, order, nc)
+        else:
+            r = np.zeros(nc)
+        rows.append(np.concatenate([-r, r]))
+        return np.array(rows)
+
+    def _solve_chain(self, y, max_dy):
+        """Coefficient vectors of d^k k / dy^k for k = 0..max_dy at this y."""
+        m = self.spec.order_m
+        e = np.zeros(4 * m + 4)
+        e[-1] = (-1.0) ** (m + 1)
+        M0 = self._condition_matrix(y)
+        try:
+            lu = np.linalg.inv(M0)
+        except np.linalg.LinAlgError:
+            lu = None
+        if lu is not None and not np.isfinite(lu).all():
+            lu = None
+
+        def solve(rhs):
+            if lu is not None:
+                return lu @ rhs
+            sol, _, rank, _ = np.linalg.lstsq(M0, rhs, rcond=None)
+            if not np.isfinite(sol).all() or np.abs(M0 @ sol - rhs).max() > 1e-8 * (1 + np.abs(rhs).max()):
+                raise SingularConditionSystem(
+                    f"condition system is rank deficient at y={y} "
+                    f"(rank {rank} of {M0.shape[0]})")
+            return sol
+
+        sols = [solve(e)]
+        shifted = {}
+        for k in range(1, max_dy + 1):
+            rhs = np.zeros(4 * m + 4)
+            for j in range(1, k + 1):
+                if j not in shifted:
+                    shifted[j] = self._condition_matrix(y, shift=j)
+                rhs -= math.comb(k, j) * (shifted[j] @ sols[k - j])
+            sols.append(solve(rhs))
+        return sols
+
+    def eval(self, x, y, dx=0, dy=0):
+        """d^dx/dx^dx d^dy/dy^dy k(x, y) at the points x, left piece at x = y."""
+        nc = self.piece_length
+        y = float(y)
+        if y not in self._chains or len(self._chains[y]) <= dy:
+            self._chains[y] = self._solve_chain(y, max(dy, 2))
+        c = self._chains[y][dy]
+        left, right = c[:nc], c[nc:]
+        xarr = np.asarray(x, dtype=float)
+        if dx >= nc:
+            return np.zeros_like(xarr)
+        a = self.spec.a
+        xs, ys = xarr - a, float(y) - a
+        lv = npoly.polyval(xs, npoly.polyder(left, dx)) if dx else npoly.polyval(xs, left)
+        rv = npoly.polyval(xs, npoly.polyder(right, dx)) if dx else npoly.polyval(xs, right)
+        return np.where(xs <= ys, lv, rv)
+
+    def matrix(self, xs, ys, dx=0, dy=0):
+        """[d^dx d^dy k(xs[i], ys[j])], one column per centre."""
+        xs = np.asarray(xs, dtype=float)
+        out = np.empty((xs.size, len(ys)))
+        for j, y in enumerate(ys):
+            out[:, j] = self.eval(xs, float(y), dx=dx, dy=dy)
+        return out
 
 
 class BasisKind(Enum):

@@ -503,9 +503,9 @@ class TestEvaluate:
         calls = []
         kernel_matrix = collocation.kernel_matrix
 
-        def counting(kernel, xs, ys, dx=0, dy=0):
+        def counting(kernel, xs, ys, dx=0, dy=0, **kw):
             calls.append((kernel, dx, dy))
-            return kernel_matrix(kernel, xs, ys, dx, dy)
+            return kernel_matrix(kernel, xs, ys, dx, dy, **kw)
 
         monkeypatch.setattr(collocation, "kernel_matrix", counting)
         got = sol.residuals(xs, ts)

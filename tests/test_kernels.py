@@ -1,12 +1,15 @@
 import dataclasses
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import rkheat as rk
-from oracles import (admissible_polynomials, inner_product_1d,
+from oracles import (ScalarKernel, admissible_polynomials, inner_product_1d,
                      poly_derivative_table, rank_one_field, tensor_eval,
                      tensor_inner)
+from rkheat import kernels
 
 W2_SPEC = rk.SpaceSpec(2, (0.0, 1.0), (("a", 0), ("b", 0)))
 W1_SPEC = rk.SpaceSpec(1, (0.0, 1.0), (("a", 0),))
@@ -186,6 +189,69 @@ class TestConditionSystem:
             for j, y in enumerate(ys):
                 assert M[i, j] == pytest.approx(kernel_w2.eval(x, y, 2, 2),
                                                 rel=1e-12, abs=1e-12)
+
+
+class TestBatchedPieces:
+    SPACES = [W2_SPEC, dataclasses.replace(W2_SPEC, interval=(100.0, 101.0)),
+              dataclasses.replace(W2_SPEC, interval=(0.0, 10.0)),
+              dataclasses.replace(W2_SPEC, interval=(0.0, 0.01)), W1_SPEC, W1P_SPEC]
+
+    IDS = ["w2", "w2-100", "w2-10", "w2-0.01", "w1", "w1p"]
+
+    @staticmethod
+    def centres(spec, n_random):
+        a, b = spec.interval
+        rng = np.random.default_rng(7)
+        return ([a + (b - a) * (np.arange(n) + 0.5) / n for n in (4, 12, 14, 32)]
+                + [np.sort(rng.uniform(a, b, n_random))])
+
+    @pytest.mark.parametrize("spec", SPACES, ids=IDS)
+    def test_pieces_bitwise_equal_to_scalar_oracle(self, spec):
+        # numpy's array power in place of Python's float ** breaks these
+        kernel, oracle = rk.build_kernel(spec), ScalarKernel(spec)
+        for ys in self.centres(spec, 256):
+            want = np.array([oracle._solve_chain(float(y), 2) for y in ys])
+            assert np.array_equal(kernel.pieces(ys), want)
+
+    @pytest.mark.parametrize("spec", SPACES, ids=IDS)
+    def test_kernel_matrix_bitwise_equal_to_scalar_oracle(self, spec):
+        a, b = spec.interval
+        kernel, oracle = rk.build_kernel(spec), ScalarKernel(spec)
+        for ys in self.centres(spec, 32):
+            pieces = kernel.pieces(ys)
+            # the centres, 101 spaced points and a single point, in one call:
+            # each entry depends on its own point only
+            xs = np.concatenate([ys, np.linspace(a, b, 101), [a + 0.3 * (b - a)]])
+            for dx in range(3):
+                for dy in range(3):
+                    want = oracle.matrix(xs, ys, dx, dy)
+                    assert np.array_equal(
+                        rk.kernel_matrix(kernel, xs, ys, dx, dy, pieces=pieces), want)
+                    if dx == dy:                # pieces solved for dy orders only
+                        assert np.array_equal(rk.kernel_matrix(kernel, xs, ys, dx, dy), want)
+
+    def test_singular_centre_raises(self):
+        # u'(a) = 0 leaves the constants with zero norm: every centre's
+        # matrix is singular and goes through the least-squares check
+        kernel = kernels.Kernel1D(rk.SpaceSpec(1, (0.0, 1.0), (("a", 1),)))
+        with pytest.raises(rk.SingularConditionSystem, match=r"y=0\.3 \(rank 7 of 8\)"):
+            kernel.pieces([0.3, 0.6])
+
+    def test_no_per_centre_state(self, kernel_w2):
+        centres = np.random.default_rng(3).uniform(0.0, 1.0, 256)
+        before = dict(vars(kernel_w2))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rk.kernel_matrix(kernel_w2, centres, centres, 2, 2)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = snapshot.filter_traces([tracemalloc.Filter(True, kernels.__file__)])
+        assert sum(stat.size for stat in held.statistics("filename")) < 64 * 1024
+        assert vars(kernel_w2).keys() == before.keys()
+        assert all(vars(kernel_w2)[key] is value for key, value in before.items())
 
 
 class TestShiftedIntervals:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rkheat as rk
+from rkheat import problems
 
 
 def zero_t(t):
@@ -99,6 +100,18 @@ class TestBuiltinExamples:
         assert exact.y_exact(0.5, 0.5) == pytest.approx(-0.0078125, abs=1e-15)
         assert exact.p_exact(0.5, 0.5) == pytest.approx(1e-6 * 0.046875, rel=1e-12)
         assert exact.u_exact(0.5, 0.5) == pytest.approx(0.046875, rel=1e-12)
+
+    def test_per_distinct_t_equals_whole_array(self):
+        # example 1's t-only polynomials run once per time level; every
+        # entry must equal the polynomial of the whole array bitwise
+        def q(t):
+            return 2 * t * (t - 1) ** 3 + 3 * t ** 2 * (t - 1) ** 2
+
+        _, T = np.meshgrid(np.linspace(0.0, 1.0, 37), np.linspace(0.0, 1.0, 23))
+        rng = np.random.default_rng(5)
+        for t in (T, T.T, T[::2, ::3], rng.uniform(0.0, 1.0, 50), np.float64(0.3), 0.3):
+            got = problems._per_distinct_t(q)(t)
+            assert np.array_equal(got, q(t)) and type(got) is type(q(t))
 
     def test_example1_state_vanishes_at_time_ends(self):
         _, exact = rk.builtin_example(1, nu=1e-2)

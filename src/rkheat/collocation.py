@@ -25,18 +25,19 @@ tensor node set each block is exactly a sum of Kronecker products of
 those matrices, and the system keeps that form instead of the dense
 matrix.  All second-argument derivatives are exact (implicit
 differentiation in the kernel module); no finite differences enter the
-matrix.
+matrix.  Only the LU step needs scipy: solve and solve_picard import
+scipy.linalg on first use, so importing rkheat does not load it.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import KernelDomainMismatch, NumericallySingular, OutOfDomain
 from .grids import trapezoid_2d
@@ -159,13 +160,16 @@ class CollocationSystem:
     bitwise equal, and solve reads A only through blocks of rows and
     columns, building A three times: the fill of the equilibrated matrix
     and two residuals.  The A property returns the dense array, or on
-    tensor node sets builds the full matrix anew on each access.
+    tensor node sets builds the full matrix anew on each access.  spaces
+    are the state and adjoint trial spaces assemble built; the solution
+    evaluates through them.
     """
 
     C: np.ndarray
     node_set: NodeSet
     kernels: tuple[TensorKernel, TensorKernel]
     hom: HomogenizedProblem
+    spaces: tuple[_TrialSpace, _TrialSpace]
     dense: np.ndarray | None = None
     factors: _KroneckerBlocks | None = None
 
@@ -294,6 +298,20 @@ class _TrialSpace:
         self.tensor = (len(self.ut) * nx == n
                        and np.array_equal(self.it * nx + self.ix, np.arange(n)))
 
+    def partner(self, kernel: TensorKernel, sign: float) -> "_TrialSpace":
+        """The trial space of kernel and sign on the same nodes.
+
+        It shares this space's coordinates, and its spatial pieces when
+        both use the same spatial kernel, so only the temporal pieces are
+        solved anew.
+        """
+        other = copy.copy(self)
+        other.kernel, other.sign = kernel, sign
+        if kernel.spatial is not self.kernel.spatial:
+            other.px = kernel.spatial.pieces(self.ux)
+        other.pt = kernel.temporal.pieces(self.ut, max_dy=1)
+        return other
+
     def _factors(self, xs, ts, op, memo=None):
         """1-D factor pairs (S, T) of op applied to the trial functions.
 
@@ -346,11 +364,6 @@ class _TrialSpace:
         return sum(Tm @ B @ Sm.T for Sm, Tm in self._factors(xs, ts, op, memo))
 
 
-def _trial_spaces(kernels, nodes: NodeSet):
-    K1, K2 = kernels
-    return _TrialSpace(K1, FORWARD, nodes), _TrialSpace(K2, ADJOINT, nodes)
-
-
 def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSystem:
     """Assemble the 2n x 2n collocation matrix and right-hand side."""
     K1, K2 = kernels
@@ -361,7 +374,8 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
         raise KernelDomainMismatch("state and adjoint kernels use different spatial spaces")
 
     n = len(nodes)
-    state, adjoint = _trial_spaces(kernels, nodes)
+    state = _TrialSpace(K1, FORWARD, nodes)
+    adjoint = state.partner(K2, ADJOINT)
     _check_footprint(n, state.tensor)
     xn = nodes.nodes[:, 0]
     tn = nodes.nodes[:, 1]
@@ -384,14 +398,14 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
                  [state.pairs(IDENTITY, memo), adjoint.pairs(L2, memo)]]
         factors = _KroneckerBlocks(pairs, [[1.0, scale], [1.0, 1.0]],
                                    len(state.ut), len(state.ux))
-        return CollocationSystem(C, nodes, (K1, K2), hom, factors=factors)
+        return CollocationSystem(C, nodes, (K1, K2), hom, (state, adjoint), factors=factors)
     A = np.zeros((2 * n, 2 * n))
     state.assemble(L1, A[:n, :n])
     adjoint.assemble(IDENTITY, A[:n, n:])
     A[:n, n:] *= scale
     state.assemble(IDENTITY, A[n:, :n])
     adjoint.assemble(L2, A[n:, n:])
-    return CollocationSystem(C, nodes, (K1, K2), hom, dense=A)
+    return CollocationSystem(C, nodes, (K1, K2), hom, (state, adjoint), dense=A)
 
 
 # rows of A per block in the passes over A or Aeq; each pass reuses one
@@ -519,6 +533,8 @@ def solve(system: CollocationSystem) -> "Solution":
     max_i |A b - C|_i / (|A| |b| + |C|)_i, 0 on rows where the denominator
     is 0, and the refinement change ||db||_inf / ||b||_inf.
     """
+    import scipy.linalg
+
     # Fortran order, or lu_factor copies Aeq whatever overwrite_a says
     Aeq, d, norm_1, norm_1_eq = _equilibrated(system)
     Ceq = system.C / d
@@ -560,7 +576,7 @@ def solve(system: CollocationSystem) -> "Solution":
                    "refinement_change": float(np.abs(db).max()) / b_max if b_max else 0.0},
     }
     return Solution(b1=b[:n], b2=b[n:], node_set=system.node_set,
-                    kernels=system.kernels, hom=system.hom, info=info)
+                    kernels=system.kernels, hom=system.hom, info=info, spaces=system.spaces)
 
 
 def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 200):
@@ -571,6 +587,8 @@ def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 
     iteration converges only when the coupling 1/nu is weak enough; the
     returned PicardInfo says whether the tolerance was met.
     """
+    import scipy.linalg
+
     n = len(system.node_set)
     A, C = system.A, system.C
     A11, A12 = A[:n, :n], A[:n, n:]
@@ -604,13 +622,17 @@ def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 
                       last_change=float(change), tol=tol, max_iter=max_iter)
     sol = Solution(b1=b1, b2=b2, node_set=system.node_set,
                    kernels=system.kernels, hom=system.hom,
-                   info={"picard": dataclasses.asdict(info)})
+                   info={"picard": dataclasses.asdict(info)}, spaces=system.spaces)
     return sol, info
 
 
 @dataclass
 class Solution:
-    """Truncated-series solution of the homogenized system."""
+    """Truncated-series solution of the homogenized system.
+
+    spaces are the system's state and adjoint trial spaces, whose solved
+    kernel pieces serve every evaluation.
+    """
 
     b1: np.ndarray
     b2: np.ndarray
@@ -618,9 +640,7 @@ class Solution:
     kernels: tuple[TensorKernel, TensorKernel]
     hom: HomogenizedProblem
     info: dict
-
-    def __post_init__(self):
-        self._spaces = _trial_spaces(self.kernels, self.node_set)
+    spaces: tuple[_TrialSpace, _TrialSpace]
 
     def _check_domain(self, x, t):
         (a, b), T = self.hom.base.interval, self.hom.base.T
@@ -639,8 +659,8 @@ class Solution:
         self._check_domain(xs, ts)
         X, T = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
         memo = {}
-        y_h = self._spaces[0].grid(self.b1, xs, ts, memo=memo)
-        p = self._spaces[1].grid(self.b2, xs, ts, memo=memo)
+        y_h = self.spaces[0].grid(self.b1, xs, ts, memo=memo)
+        p = self.spaces[1].grid(self.b2, xs, ts, memo=memo)
         y_tot = y_h + np.asarray(self.hom.y_hat(X, T), dtype=float)
         return y_tot, p, p / self.hom.base.nu
 
@@ -653,7 +673,7 @@ class Solution:
         kernel matrix is built once per call.
         """
         self._check_domain(xs, ts)
-        hom, (state, adjoint) = self.hom, self._spaces
+        hom, (state, adjoint) = self.hom, self.spaces
         X, T = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ts, dtype=float))
         memo = {}
         y = state.grid(self.b1, xs, ts, memo=memo)
@@ -669,8 +689,8 @@ class Solution:
 def evaluate(sol: Solution, x: float, t: float):
     """(y_total, p, u) at a single point of the closed rectangle."""
     sol._check_domain(x, t)
-    y_h = sol._spaces[0].points(sol.b1, x, t)
-    p = sol._spaces[1].points(sol.b2, x, t)
+    y_h = sol.spaces[0].points(sol.b1, x, t)
+    p = sol.spaces[1].points(sol.b2, x, t)
     y_tot = y_h + float(np.asarray(sol.hom.y_hat(x, t), dtype=float))
     return y_tot, p, p / sol.hom.base.nu
 

@@ -14,8 +14,8 @@ Nielson, SINUM 1970).  In sine modes the system splits into n_x
 independent pentadiagonal systems in time, solved together by one banded
 LU with partial pivoting; nothing of size n_x * M squared is formed.
 
-scipy.interpolate is imported on first use by self_convergence: importing
-rkheat should not pay for it.
+scipy is imported on first use: scipy.linalg by solve_coupled_fd and
+scipy.interpolate by self_convergence, so importing rkheat loads neither.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularDiscretization
 from .grids import GridField, SpaceTimeGrid, trapezoid_2d
@@ -97,6 +96,8 @@ def solve_coupled_fd(problem: ControlProblem, grid: SpaceTimeGrid) -> FDReferenc
     on the grid, and SingularDiscretization when the grid does not cover
     the problem or the banded solve fails or returns non-finite values.
     """
+    import scipy.linalg
+
     if not np.isclose(grid.interval[0], problem.a) \
             or not np.isclose(grid.interval[1], problem.b) \
             or not np.isclose(grid.horizon, problem.T):

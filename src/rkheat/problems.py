@@ -142,16 +142,21 @@ def _zero_data_problem(nu, y_d):
 
 
 def _per_distinct_t(f):
-    """f(t) evaluated once per distinct value of t, broadcast to t's shape.
+    """f(t) evaluated once per time level of t, broadcast to t's shape.
 
     Each entry equals f at that entry bitwise: f is elementwise, and on a
     t-major grid its ** powers then run once per time level instead of once
-    per grid point.  Anything but an array of rank >= 1 is passed through,
-    so scalars keep Python's float **.
+    per grid point.  A 2-D t whose rows are each constant, as a t-major
+    meshgrid is, takes f of its first column; any other array takes f of
+    its distinct values, whose sort (np.unique) costs more than one of
+    these polynomials on a whole 100 x 100 grid.  Anything but an array of
+    rank >= 1 is passed through, so scalars keep Python's float **.
     """
     def per_t(t):
         if not isinstance(t, np.ndarray) or t.ndim == 0:
             return f(t)
+        if t.ndim == 2 and t.size and (t == t[:, :1]).all():
+            return np.repeat(f(t[:, 0]), t.shape[1]).reshape(t.shape)
         distinct, inverse = np.unique(t, return_inverse=True)
         return f(distinct)[inverse].reshape(np.shape(t))
     return per_t
@@ -204,14 +209,17 @@ def _example_fields(example_id, nu):
 
     if example_id == 2:
         # y = t^2 (t-1)^2 (t-2)^2 sin(pi x)
+        @_per_distinct_t
         def g(t):
             return t ** 2 * (t - 1) ** 2 * (t - 2) ** 2
 
+        @_per_distinct_t
         def gp(t):
             return (2 * t * (t - 1) ** 2 * (t - 2) ** 2
                     + 2 * t ** 2 * (t - 1) * (t - 2) ** 2
                     + 2 * t ** 2 * (t - 1) ** 2 * (t - 2))
 
+        @_per_distinct_t
         def gpp(t):
             return (2 * (t - 1) ** 2 * (t - 2) ** 2
                     + 8 * t * (t - 1) * (t - 2) ** 2
@@ -240,12 +248,15 @@ def _example_fields(example_id, nu):
 
     if example_id == 3:
         # y = t^3 (1-t)^3 (1 - cos 2 pi x)
+        @_per_distinct_t
         def g(t):
             return t ** 3 * (1 - t) ** 3
 
+        @_per_distinct_t
         def gp(t):
             return 3 * t ** 2 * (1 - t) ** 3 - 3 * t ** 3 * (1 - t) ** 2
 
+        @_per_distinct_t
         def gpp(t):
             return (6 * t * (1 - t) ** 3 - 18 * t ** 2 * (1 - t) ** 2
                     + 6 * t ** 3 * (1 - t))

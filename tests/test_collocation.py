@@ -344,6 +344,30 @@ class TestSolve:
         rk.solve(system)
         assert calls == [system.A.shape]
 
+    @pytest.mark.parametrize("mode", ["direct", "picard"])
+    @pytest.mark.parametrize("layout", ["grid", "jittered"])
+    def test_pieces_solved_once_per_kernel(self, layout, mode, ex1_case, unit_kernels,
+                                           monkeypatch):
+        # state and adjoint share the spatial kernel and the coordinates,
+        # and the solution evaluates through the system's trial spaces:
+        # one spatial and two temporal solves, none after assembly
+        _, _, hom = ex1_case
+        calls = []
+        pieces = rk.Kernel1D.pieces
+
+        def counting(kernel, ys, max_dy=2):
+            calls.append(kernel)
+            return pieces(kernel, ys, max_dy)
+
+        monkeypatch.setattr(rk.Kernel1D, "pieces", counting)
+        system = rk.assemble(hom, node_layout(layout, 6), unit_kernels)
+        K1, K2 = unit_kernels
+        assert calls == [K1.spatial, K1.temporal, K2.temporal]
+        sol = rk.solve(system) if mode == "direct" else rk.solve_picard(system)[0]
+        rk.evaluate(sol, 0.3, 0.7)
+        sol.evaluate_grid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4))
+        assert len(calls) == 3
+
     def test_extra_memory_below_one_and_a_third_matrices(self):
         # Aeq, factored in place, plus a block of rows or lu_factor's
         # finiteness mask; a second LU, an LU copy or a dense A beside Aeq
@@ -493,7 +517,7 @@ class TestEvaluate:
         # kernel and their own temporal kernel: 12 distinct 1-D matrices
         _, _, _, _, sol, _ = solve_example(2, 1e-2, 8, 8)
         xs, ts = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)
-        state, adjoint = sol._spaces
+        state, adjoint = sol.spaces
         nu = sol.hom.base.nu
         X, T = np.meshgrid(xs, ts)
         forward = state.grid(sol.b1, xs, ts, collocation.L1) - (

@@ -101,17 +101,28 @@ class TestBuiltinExamples:
         assert exact.p_exact(0.5, 0.5) == pytest.approx(1e-6 * 0.046875, rel=1e-12)
         assert exact.u_exact(0.5, 0.5) == pytest.approx(0.046875, rel=1e-12)
 
-    def test_per_distinct_t_equals_whole_array(self):
-        # example 1's t-only polynomials run once per time level; every
-        # entry must equal the polynomial of the whole array bitwise
-        def q(t):
-            return 2 * t * (t - 1) ** 3 + 3 * t ** 2 * (t - 1) ** 2
-
-        _, T = np.meshgrid(np.linspace(0.0, 1.0, 37), np.linspace(0.0, 1.0, 23))
-        rng = np.random.default_rng(5)
-        for t in (T, T.T, T[::2, ::3], rng.uniform(0.0, 1.0, 50), np.float64(0.3), 0.3):
-            got = problems._per_distinct_t(q)(t)
-            assert np.array_equal(got, q(t)) and type(got) is type(q(t))
+    def test_per_distinct_t_equals_whole_array(self, monkeypatch):
+        # the examples' t-only polynomials run once per row of a t-major
+        # grid, else once per distinct t; every value and partial must equal
+        # the whole-array one bitwise, in type too, on grids, views,
+        # scattered points, empty arrays and scalars
+        fields = {i: problems._example_fields(i, 1e-2) for i in (1, 2, 3)}
+        monkeypatch.setattr(problems, "_per_distinct_t", lambda f: f)
+        whole = {i: problems._example_fields(i, 1e-2) for i in (1, 2, 3)}
+        X, T = np.meshgrid(np.linspace(0.0, 1.0, 37), np.linspace(0.0, 1.0, 23))
+        xr, tr = np.random.default_rng(5).uniform(0.0, 1.0, (2, 50))
+        inputs = [(X, T), (X.T, T.T), (X[::2, ::3], T[::2, ::3]),
+                  (X, np.broadcast_to(T[:, :1], X.shape)), (xr, tr), (X[0], 0.3),
+                  (0.4, T[:, 0]), (xr, np.float64(0.3)), (X[:, :0], T[:, :0]),
+                  (np.float64(0.4), np.float64(0.3)), (0.4, 0.3)]
+        for i in (1, 2, 3):
+            for field, reference in zip(fields[i], whole[i]):
+                for x, t in inputs:
+                    for dx, dt in ((0, 0), (0, 1), (2, 0), (1, 0)):
+                        got = field.partial(x, t, dx, dt)
+                        want = reference.partial(x, t, dx, dt)
+                        assert np.array_equal(got, want), (i, dx, dt)
+                        assert type(got) is type(want), (i, dx, dt)
 
     def test_example1_state_vanishes_at_time_ends(self):
         _, exact = rk.builtin_example(1, nu=1e-2)

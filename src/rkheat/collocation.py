@@ -23,7 +23,8 @@ products of small 1-D kernel derivative matrices on the node set's
 distinct coordinates; _TrialSpace builds them, one per field.  On a
 tensor node set each block is exactly a sum of Kronecker products of
 those matrices, and the system keeps that form instead of the dense
-matrix.  All second-argument derivatives are exact (implicit
+matrix: products with A come from the factor pairs, and the solve
+builds A once, to factor it.  All second-argument derivatives are exact (implicit
 differentiation in the kernel module); no finite differences enter the
 matrix.  Only the LU step needs scipy: solve and solve_picard import
 scipy.linalg on first use, so importing rkheat does not load it.
@@ -73,6 +74,8 @@ class NodeSet:
     generation: dict
 
     def __post_init__(self):
+        if not np.isfinite(self.nodes).all():
+            raise ValueError("collocation nodes must be finite")
         pts = {(float(x), float(t)) for x, t in self.nodes}
         if len(pts) != len(self.nodes):
             raise ValueError("collocation nodes must be pairwise distinct")
@@ -131,6 +134,24 @@ class _KroneckerBlocks:
                 if self.scales[p][q] != 1.0:
                     block *= self.scales[p][q]
 
+    def matvec(self, b, absolute=False):
+        """A @ b, or |A| @ |b| when absolute, from the factor pairs.
+
+        With B_q the q-th half of b as an nt x nx array, block (p, q) maps
+        it to scales[p][q] times the sum of T B_q S^T over its pairs; the
+        scale is applied after the sum, as rows applies it.  absolute takes
+        |s|, |T|, |B_q| and |S|.
+        """
+        f = np.abs if absolute else (lambda M: M)
+        n = self.nt * self.nx
+        B = [f(b[q * n:q * n + n]).reshape(self.nt, self.nx) for q in (0, 1)]
+        out = np.zeros(2 * n)
+        for p in (0, 1):
+            for q in (0, 1):
+                block = sum(f(T) @ B[q] @ f(S).T for S, T in self.pairs[p][q])
+                out[p * n:p * n + n] += f(self.scales[p][q]) * block.ravel()
+        return out
+
     @staticmethod
     def _block_rows(pairs, it, ix, out):
         """out[r] = sum over pairs of the outer product T[it[r]] x S[ix[r]].
@@ -157,12 +178,12 @@ class CollocationSystem:
     32 x 32 nodes where A takes 32 MB.  On any other node set it is the
     dense array (dense); there the factors are n x n each, and the 24 of
     them would take 6 |A|.  rows(i, j) builds rows of A in either form,
-    bitwise equal, and solve reads A only through blocks of rows and
-    columns, building A three times: the fill of the equilibrated matrix
-    and two residuals.  The A property returns the dense array, or on
-    tensor node sets builds the full matrix anew on each access.  spaces
-    are the state and adjoint trial spaces assemble built; the solution
-    evaluates through them.
+    bitwise equal, and matvec(b) forms A @ b, or |A| @ |b|, without
+    building A.  solve builds A once, from blocks of columns, and takes
+    every other product from matvec.  The A property returns the dense
+    array, or on tensor node sets builds the full matrix anew on each
+    access.  spaces are the state and adjoint trial spaces assemble
+    built; the solution evaluates through them.
     """
 
     C: np.ndarray
@@ -190,6 +211,24 @@ class CollocationSystem:
             out[...] = self.dense[i:j]
         else:
             self.factors.rows(i, j, out)
+        return out
+
+    def matvec(self, b: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """A @ b, or |A| @ |b| when absolute, without building A.
+
+        A dense A takes |A| in blocks of _ROW_BLOCK rows, so no second
+        2n x 2n array is made.
+        """
+        if self.dense is None:
+            return self.factors.matvec(b, absolute)
+        if not absolute:
+            return self.dense @ b
+        size = len(b)
+        out, b_abs = np.empty(size), np.abs(b)
+        buffer = np.empty((min(_ROW_BLOCK, size), size))
+        for i in range(0, size, _ROW_BLOCK):
+            j = min(i + _ROW_BLOCK, size)
+            out[i:j] = np.abs(self.dense[i:j], out=buffer[:j - i]) @ b_abs
         return out
 
     def _columns(self, i: int, j: int, out: np.ndarray) -> np.ndarray:
@@ -224,12 +263,13 @@ def standard_kernels(interval, horizon):
 
 
 # Peak bytes of a solve as a multiple of |A| = (2n)^2 * 8 B, keyed on
-# whether A is kept as factor pairs (tensor node sets).  Tracemalloc at
-# 24^2 and 32^2 nodes: the direct solve holds Aeq and a block of rows,
-# 1.14-1.26 |A|, or 2.13-2.23 |A| beside a dense A; Picard holds A and
-# copies of its diagonal blocks, 1.50-1.51 |A| either way.  The guard adds
-# ~0.25 |A| to the worst path.  The block of rows is a fixed cost under
-# 1 MB, a larger share of a small |A| (1.65 and 2.54 |A| at 16^2 nodes).
+# whether A is kept as factor pairs (tensor node sets).  Tracemalloc of
+# example 2 at 24^2 and 32^2 nodes: the direct solve holds A, factored in
+# place, and a block of columns, 1.26 and 1.14 |A|, or 2.23 and 2.13 |A|
+# beside a dense A; Picard holds A and copies of its diagonal blocks,
+# 1.50 |A| either way.  The guard adds ~0.25 |A| to the worst path.  The
+# block of columns is a fixed cost under 1 MB, a larger share of a small
+# |A| (1.63 and 2.51 |A| at 16^2 nodes).
 _PEAK_PER_A = {True: 1.75, False: 2.5}
 
 
@@ -408,99 +448,30 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
     return CollocationSystem(C, nodes, (K1, K2), hom, (state, adjoint), dense=A)
 
 
-# rows of A per block in the passes over A or Aeq; each pass reuses one
-# block buffer, since a fresh multi-MB block per step is paged in anew
+# rows or columns of A per block in the passes over A; each pass reuses
+# one block buffer, since a fresh multi-MB block per step is paged in anew
 _ROW_BLOCK = 256
 # rows per product buffer when a block of rows is built from factor pairs
 _PRODUCT_ROWS = 32
 
 
-def _row_blocks(system):
-    """(i, j, rows i..j-1 of A) for each block of rows, in one reused buffer."""
+def _filled(system):
+    """A in Fortran order, filled from column blocks, and ||A||_1.
+
+    Columns of A are contiguous in Fortran order, so each block of them is
+    written as rows of A^T; lu_factor copies a C-ordered A whatever
+    overwrite_a says.
+    """
     size = len(system.C)
+    A = np.empty((size, size), order="F")
+    target = A.T                               # C-contiguous: rows of A^T
     buffer = np.empty((min(_ROW_BLOCK, size), size))
+    norm_1 = 0.0
     for i in range(0, size, _ROW_BLOCK):
         j = min(i + _ROW_BLOCK, size)
-        yield i, j, system.rows(i, j, buffer[:j - i])
-
-
-def _equilibrated(system):
-    """Aeq = A / d[:, None] in Fortran order, d, ||A||_1 and ||Aeq||_1.
-
-    d = max_j |A_ij| are the row scales.  A Fortran-ordered Aeq is filled
-    with columns of A, which are contiguous there: writing rows of A into
-    it would be a strided transposing copy.  The fill is the only pass that
-    builds A; d is a running maximum over its column blocks, and the
-    second pass divides the filled array in place.
-    """
-    size = len(system.C)
-    Aeq = np.empty((size, size), order="F")
-    target = Aeq.T                             # C-contiguous: rows of A^T
-    buffer = np.empty((min(_ROW_BLOCK, size), size))
-    spans = [(i, min(i + _ROW_BLOCK, size)) for i in range(0, size, _ROW_BLOCK)]
-    d = np.zeros(size)
-    norm_1 = norm_1_eq = 0.0
-    for i, j in spans:
         block = np.abs(system._columns(i, j, target[i:j]), out=buffer[:j - i])
-        np.maximum(d, block.max(axis=0), out=d)
         norm_1 = max(norm_1, block.sum(axis=1).max())
-    if not np.all(d > 0):
-        raise NumericallySingular("system matrix has an identically zero row")
-    for i, j in spans:
-        target[i:j] /= d
-        norm_1_eq = max(norm_1_eq, np.abs(target[i:j], out=buffer[:j - i]).sum(axis=1).max())
-    return Aeq, d, float(norm_1), float(norm_1_eq)
-
-
-def _product(system, b, d):
-    """(A / d[:, None]) @ b with the rows of A rebuilt block by block.
-
-    Rows are divided before the product, as a solve that keeps Aeq forms
-    Aeq @ b; (A @ b) / d differs in the last bits, and at cond ~1e13 that
-    moves b by ~1e-8.
-    """
-    out = np.empty(len(b))
-    for i, j, block in _row_blocks(system):
-        block /= d[i:j, None]
-        out[i:j] = block @ b
-    return out
-
-
-def _residual(system, b):
-    """|A b - C| and |A| |b| + |C|, from one pass over rows of A."""
-    C = system.C
-    residual, scale = np.empty(len(b)), np.empty(len(b))
-    b_abs = np.abs(b)
-    for i, j, block in _row_blocks(system):
-        residual[i:j] = block @ b
-        scale[i:j] = np.abs(block, out=block) @ b_abs
-    return np.abs(residual - C), scale + np.abs(C)
-
-
-def _inverse_norm_1(apply, apply_t, n):
-    """Hager-Higham estimate of ||M^-1||_1 from products with M^-1 and M^-T.
-
-    LAPACK dlacn2's deterministic t=1 loop (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, ch. 15): at most five iterations, then
-    the alternating-sign vector as a safeguard.  n >= 2.
-    """
-    x = apply(np.full(n, 1.0 / n))
-    est = np.abs(x).sum()
-    sign = np.where(x >= 0, 1.0, -1.0)
-    j = np.argmax(np.abs(apply_t(sign)))
-    for _ in range(4):
-        x = apply(np.eye(1, n, j)[0])
-        est_old, est = est, np.abs(x).sum()
-        new_sign = np.where(x >= 0, 1.0, -1.0)
-        if np.array_equal(new_sign, sign) or est <= est_old:
-            break
-        sign = new_sign
-        z = apply_t(sign)
-        j_last, j = j, np.argmax(np.abs(z))
-        if z[j_last] == abs(z[j]):
-            break
-    alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
-    return max(est, 2.0 * np.abs(apply(alt)).sum() / (3 * n))
+    return A, float(norm_1)
 
 
 def _round3(cond):
@@ -517,60 +488,53 @@ def _round3(cond):
 def solve(system: CollocationSystem) -> "Solution":
     """Solve the collocation system with one LU factorization.
 
-    A is read in blocks of rows and columns only, so on a tensor node set,
-    where A is kept as factor pairs, the solve holds one 2n x 2n array.
-    It builds A three times: one pass fills a Fortran-ordered
-    Aeq = D^-1 A from column blocks and takes the row scales D (each row's
-    max magnitude) on the way, the refinement residual and the final
-    residual each rebuild the rows.  Aeq is factored in place by LU with
-    partial pivoting; a zero pivot raises NumericallySingular.  The
-    factors solve the system, then one step of iterative refinement
-    corrects b.  info["cond"] holds 1-norm condition estimates of A
-    ("pre") and Aeq ("post"), both from Aeq's factors: "post" is LAPACK
-    gecon, "pre" is ||A||_1 times the Hager-Higham estimate of
-    ||A^-1||_1 = ||Aeq^-1 D^-1||_1.  No inverse is formed.
-    info["solver"] records the componentwise (Oettli-Prager) backward error
-    max_i |A b - C|_i / (|A| |b| + |C|)_i, 0 on rows where the denominator
-    is 0, and the refinement change ||db||_inf / ||b||_inf.
+    One pass fills a Fortran-ordered A from blocks of columns and takes
+    ||A||_1 on the way, so on a tensor node set, where A is kept as factor
+    pairs, the solve builds A once and holds one 2n x 2n array.  A is
+    factored in place by LU with partial pivoting; a zero pivot, as a zero
+    row gives, raises NumericallySingular.  The factors solve the system,
+    then one step of iterative refinement corrects b.  Every product with
+    A, the refinement residual, the final residual and |A| |b|, comes from
+    system.matvec.  info["cond"] holds LAPACK gecon's 1-norm condition
+    estimate of A from its factors, under "pre" and "post" alike; no
+    inverse is formed.  info["solver"] records the componentwise
+    (Oettli-Prager) backward error max_i |A b - C|_i / (|A| |b| + |C|)_i,
+    0 on rows where the denominator is 0, and the refinement change
+    ||db||_inf / ||b||_inf.
     """
     import scipy.linalg
 
-    # Fortran order, or lu_factor copies Aeq whatever overwrite_a says
-    Aeq, d, norm_1, norm_1_eq = _equilibrated(system)
-    Ceq = system.C / d
+    A, norm_1 = _filled(system)
     try:
         with warnings.catch_warnings():
             # an exactly singular matrix warns before we can inspect the
             # pivots; the zero-pivot check below turns it into an error
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            factors = scipy.linalg.lu_factor(Aeq, overwrite_a=True)
+            factors = scipy.linalg.lu_factor(A, overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericallySingular(f"LU factorization failed: {exc}") from exc
-    del Aeq                          # overwritten by its factors
+    del A                            # overwritten by its factors
     lu = factors[0]
     if np.abs(np.diag(lu)).min() == 0.0:
         raise NumericallySingular("LU factorization hit an exactly zero pivot")
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, norm_1_eq, norm="1")
-    inv_norm = _inverse_norm_1(
-        lambda v: scipy.linalg.lu_solve(factors, v / d, check_finite=False),
-        lambda v: scipy.linalg.lu_solve(factors, v, trans=1, check_finite=False) / d,
-        len(d))
-    cond = {"pre": _round3(norm_1 * inv_norm),
-            "post": _round3(1.0 / rcond) if rcond > 0 else np.inf}
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, norm_1, norm="1")
+    cond = _round3(1.0 / rcond) if rcond > 0 else np.inf
 
-    b = scipy.linalg.lu_solve(factors, Ceq)
-    db = scipy.linalg.lu_solve(factors, Ceq - _product(system, b, d))
+    C = system.C
+    b = scipy.linalg.lu_solve(factors, C)
+    db = scipy.linalg.lu_solve(factors, C - system.matvec(b))
     b = b + db
     if not np.isfinite(b).all():
         raise NumericallySingular("solution vector is not finite")
 
     n = len(system.node_set)
-    residual, scale = _residual(system, b)
+    residual = np.abs(system.matvec(b) - C)
+    scale = system.matvec(b, absolute=True) + np.abs(C)
     # a row with |A||b| + |C| = 0 has a zero residual: its ratio is 0
     backward_error = np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0)
     b_max = float(np.abs(b).max())
     info = {
-        "cond": cond,
+        "cond": {"pre": cond, "post": cond},
         "residual_max": float(residual.max()),
         "solver": {"backward_error": float(backward_error.max()),
                    "refinement_change": float(np.abs(db).max()) / b_max if b_max else 0.0},
@@ -648,8 +612,9 @@ class Solution:
         tol_t = 1e-12 * T
         xa = np.asarray(x, dtype=float)
         ta = np.asarray(t, dtype=float)
-        if np.any(xa < a - tol_x) or np.any(xa > b + tol_x) \
-                or np.any(ta < -tol_t) or np.any(ta > T + tol_t):
+        # written so that NaN, which compares False, fails
+        if not (np.all(xa >= a - tol_x) and np.all(xa <= b + tol_x)
+                and np.all(ta >= -tol_t) and np.all(ta <= T + tol_t)):
             raise OutOfDomain(f"point outside [{a},{b}] x [0,{T}]")
 
     # -- public evaluation ----------------------------------------------

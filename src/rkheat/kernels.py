@@ -233,7 +233,7 @@ class Kernel1D:
     def _check(self, points, name):
         a, b = self.spec.interval
         tol = 1e-12 * (b - a)
-        outside = (points < a - tol) | (points > b + tol)
+        outside = ~((points >= a - tol) & (points <= b + tol))    # NaN too
         if outside.any():
             where = f"={points[outside][0]}" if name == "y" else ""
             raise OutOfDomain(f"{name}{where} outside [{a}, {b}]")

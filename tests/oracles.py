@@ -17,10 +17,11 @@ second argument, evaluated column by column.  The batched solve of the
 kernel module is pinned to it bitwise.  BasisFunction and tensor_eval
 evaluate one trial function and one tensor kernel value point by point, as references for the factored evaluation in
 the collocation module.  write_csv_reference is the row-by-row CSV writer
-that the CLI's output format is pinned to.  two_lu_solve is the
-equilibrated direct solve that keeps Aeq beside its factors and factors
-the raw matrix a second time for its condition estimate; the collocation
-module's single-factorization solve is pinned to its b and estimates.
+that the CLI's output format is pinned to.  one_lu_solve is the direct
+solve on the whole dense matrix, which keeps A beside its factors and
+takes the refinement residual from it; the collocation module's solve,
+which reads A only through its products, is pinned to its b and
+condition estimate.
 fd_sparse_system assembles the finite-difference reference's whole
 Crank-Nicolson system as one sparse matrix, the form the sine-mode solve
 must satisfy.
@@ -347,26 +348,18 @@ def write_csv_reference(path, header, rows) -> None:
             writer.writerow(["%.17g" % float(v) for v in row])
 
 
-def two_lu_solve(A, C):
-    """Equilibrated LU solve with one refinement step and gecon estimates.
+def one_lu_solve(A, C):
+    """LU solve of the dense A with one refinement step and a gecon estimate.
 
-    Rows are scaled by their max magnitude; Aeq is kept beside a copy of
-    its LU factors, and the refinement residual is Ceq - Aeq @ b.  A second
-    LU, of A itself, gives cond_1(A).  Returns the refined b, the
-    refinement step db and the condition estimates of A ("pre") and Aeq
-    ("post") rounded to 3 significant digits.
+    The refinement residual is C - A @ b, a product with the whole matrix.
+    Returns the refined b, the refinement step db and the 1-norm condition
+    estimate of A from its factors, rounded to 3 significant digits.
     """
-    scale = np.abs(A).max(axis=1)
-    Aeq, Ceq = A / scale[:, None], C / scale
-    cond = {}
-    for key, M in (("pre", A), ("post", Aeq)):
-        lu, _ = scipy.linalg.lu_factor(M)
-        rcond, _ = scipy.linalg.lapack.dgecon(lu, np.linalg.norm(M, 1), norm="1")
-        cond[key] = float(f"{1.0 / rcond:.3g}")
-    factors = scipy.linalg.lu_factor(Aeq)
-    b = scipy.linalg.lu_solve(factors, Ceq)
-    db = scipy.linalg.lu_solve(factors, Ceq - Aeq @ b)
-    return b + db, db, cond
+    factors = scipy.linalg.lu_factor(A)
+    rcond, _ = scipy.linalg.lapack.dgecon(factors[0], np.linalg.norm(A, 1), norm="1")
+    b = scipy.linalg.lu_solve(factors, C)
+    db = scipy.linalg.lu_solve(factors, C - A @ b)
+    return b + db, db, float(f"{1.0 / rcond:.3g}")
 
 
 def fd_sparse_system(problem, grid):

@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import solve_triangular
 
 import rkheat as rk
 import rkheat.collocation as collocation
 from conftest import UNIT, node_layout, solve_example
-from oracles import BasisFunction, BasisKind, two_lu_solve
+from oracles import BasisFunction, BasisKind, one_lu_solve
 
 
 def dense_backed(system, A):
@@ -256,10 +255,8 @@ class TestSolve:
         problem, _ = rk.builtin_example(example_id, nu=nu)
         system = rk.assemble(rk.homogenize(problem), node_layout(layout, n), unit_kernels)
         sol = rk.solve(system)
-        A = system.A
-        Aeq = A / np.abs(A).max(axis=1)[:, None]
-        for key, M in (("pre", A), ("post", Aeq)):
-            exact = np.linalg.cond(M, 1)
+        exact = np.linalg.cond(system.A, 1)
+        for key in ("pre", "post"):
             assert exact / 3 <= sol.info["cond"][key] <= 1.01 * exact
 
     def test_cond_estimates_repeatable(self, ex1_case, unit_kernels):
@@ -278,46 +275,42 @@ class TestSolve:
         pytest.param(1, "jittered", 8, id="1-8-jittered"),
     ])
     def test_matches_two_lu_reference(self, example_id, layout, n, unit_kernels):
-        # one LU of Aeq, in place, with the refinement residual rebuilt from
-        # A gives bitwise the b of a solve that keeps Aeq and factors A too
+        # one LU of A, in place, with every product taken from the system's
+        # matvec: on a dense set that is A @ b, so b matches the solve on
+        # the whole matrix bitwise; on a tensor set the refinement residual
+        # from the factor pairs rounds differently, and the fields agree to
+        # the rounding floor of A
         problem, _ = rk.builtin_example(example_id, nu=1e-2)
         system = rk.assemble(rk.homogenize(problem), node_layout(layout, n), unit_kernels)
         sol = rk.solve(system)
-        b, db, cond = two_lu_solve(system.A, system.C)
-        assert np.array_equal(np.concatenate([sol.b1, sol.b2]), b)
-        assert sol.info["cond"] == cond
-        assert sol.info["solver"]["refinement_change"] == np.abs(db).max() / np.abs(b).max()
-
-    def test_inverse_norm_estimate_matches_lapack(self, rng):
-        # on the operator (LU)^-1, which LAPACK gecon estimates, the loop
-        # must repeat dlacn2 step for step; about 1 in 150 of these cases
-        # takes its estimate from the alternating-sign vector
-        for _ in range(1500):
-            n = int(rng.integers(2, 9))
-            M = rng.standard_normal((n, n))
-            lu, _ = scipy.linalg.lu_factor(M)
-            est = collocation._inverse_norm_1(
-                lambda v: solve_triangular(lu, solve_triangular(lu, v, lower=True,
-                                                                unit_diagonal=True)),
-                lambda v: solve_triangular(lu, solve_triangular(lu, v, trans=1),
-                                           lower=True, unit_diagonal=True, trans=1),
-                n)
-            norm = np.abs(M).sum(axis=0).max()
-            rcond, _ = scipy.linalg.lapack.dgecon(lu, norm, norm="1")
-            assert est == pytest.approx(1.0 / (rcond * norm), rel=1e-10)
+        b, db, cond = one_lu_solve(system.A, system.C)
+        assert sol.info["cond"] == {"pre": cond, "post": cond}
+        if layout == "jittered":
+            assert np.array_equal(np.concatenate([sol.b1, sol.b2]), b)
+            assert sol.info["solver"]["refinement_change"] == np.abs(db).max() / np.abs(b).max()
+            return
+        size = len(system.node_set)
+        reference = dataclasses.replace(sol, b1=b[:size], b2=b[size:])
+        grid = np.linspace(0.0, 1.0, 33)
+        for got, want in zip(sol.evaluate_grid(grid, grid)[:2],
+                             reference.evaluate_grid(grid, grid)[:2]):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_backward_error(self, ex1_solution_8):
-        # componentwise (Oettli-Prager): max_i |Ab - C|_i / (|A||b| + |C|)_i
+        # componentwise (Oettli-Prager): max_i |Ab - C|_i / (|A||b| + |C|)_i;
+        # on a tensor set A b comes from the factor pairs, and the numerator,
+        # rounding noise, differs from the dense product's in its last bits
         sol, system = ex1_solution_8
         A, C = system.A, system.C
-        b = np.concatenate([sol.b1, sol.b2])
-        want = (np.abs(A @ b - C) / (np.abs(A) @ np.abs(b) + np.abs(C))).max()
-        assert sol.info["solver"]["backward_error"] == pytest.approx(want, rel=1e-12, abs=0)
-        assert sol.info["solver"]["backward_error"] < 1e-15
+        for tensor, solution in ((True, sol), (False, rk.solve(dense_backed(system, A)))):
+            b = np.concatenate([solution.b1, solution.b2])
+            want = (np.abs(A @ b - C) / (np.abs(A) @ np.abs(b) + np.abs(C))).max()
+            got = solution.info["solver"]["backward_error"]
+            assert abs(got - want) <= 1e-15 if tensor else got == want
+            assert got < 1e-15
 
-    def test_three_builds_of_a_per_solve(self, ex1_case, unit_kernels, monkeypatch):
-        # the fill of Aeq (which also gives the row scales), then the
-        # refinement residual, then the final residual
+    def test_one_build_of_a_per_solve(self, ex1_case, unit_kernels, monkeypatch):
+        # the fill of A; the residuals and |A||b| come from the factor pairs
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(6, 5, UNIT), unit_kernels)
         built = []
@@ -329,7 +322,25 @@ class TestSolve:
 
         monkeypatch.setattr(collocation._KroneckerBlocks, "rows", counting)
         rk.solve(system)
-        assert sum(built) == 3 * len(system.C)
+        assert sum(built) == len(system.C)
+
+    @pytest.mark.parametrize("example_id, nu, layout, n_x, n_t", [
+        pytest.param(1, 1e-2, "grid", 4, 4, id="4x4"),
+        pytest.param(1, 1e-2, "grid", 5, 7, id="5x7"),
+        pytest.param(1, 1e-6, "grid", 14, 14, id="14x14-nu1e-6"),
+        pytest.param(1, 1e-2, "jittered", 6, 6, id="jittered"),
+    ])
+    def test_matvec_matches_dense(self, example_id, nu, layout, n_x, n_t, rng):
+        problem, _ = rk.builtin_example(example_id, nu=nu)
+        nodes = (rk.generate_nodes(n_x, n_t, UNIT) if layout == "grid"
+                 else node_layout(layout, n_x))
+        system = rk.assemble(rk.homogenize(problem), nodes, rk.standard_kernels(*UNIT))
+        assert (system.dense is None) == (layout == "grid")
+        A = system.A
+        b = rng.standard_normal(len(system.C))
+        bound = 1e-15 * (np.abs(A) @ np.abs(b))
+        assert np.all(np.abs(system.matvec(b) - A @ b) <= bound)
+        assert np.all(np.abs(system.matvec(b, absolute=True) - np.abs(A) @ np.abs(b)) <= bound)
 
     def test_one_lu_per_solve(self, ex1_solution_8, monkeypatch):
         _, system = ex1_solution_8
@@ -369,8 +380,8 @@ class TestSolve:
         assert len(calls) == 3
 
     def test_extra_memory_below_one_and_a_third_matrices(self):
-        # Aeq, factored in place, plus a block of rows or lu_factor's
-        # finiteness mask; a second LU, an LU copy or a dense A beside Aeq
+        # A, factored in place, plus a block of columns or lu_factor's
+        # finiteness mask; a second LU, an LU copy or a dense A beside it
         # makes it 2 |A|
         _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
         tracemalloc.start()
@@ -382,7 +393,7 @@ class TestSolve:
         assert peak <= 1.3 * system.A.nbytes
 
     def test_assemble_and_solve_below_one_and_a_third_matrices(self):
-        # counting everything: the factor pairs, then Aeq and a block of rows
+        # counting everything: the factor pairs, then A and a block of columns
         problem, _ = rk.builtin_example(2, nu=1e-2)
         hom = rk.homogenize(problem)
         kernels = rk.standard_kernels(problem.interval, problem.T)
@@ -535,6 +546,24 @@ class TestEvaluate:
         got = sol.residuals(xs, ts)
         assert len(calls) == len(set(calls)) == 12
         assert np.array_equal(got[0], forward) and np.array_equal(got[1], adjoint_r)
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda sol: rk.evaluate(sol, np.nan, 0.5), rk.OutOfDomain, id="evaluate"),
+    pytest.param(lambda sol: sol.evaluate_grid([0.2, np.nan], [0.5]), rk.OutOfDomain,
+                 id="evaluate_grid"),
+    pytest.param(lambda sol: sol.residuals([0.5], [0.2, np.nan]), rk.OutOfDomain,
+                 id="residuals"),
+    pytest.param(lambda sol: rk.kernel_matrix(sol.kernels[0].spatial, [np.nan], [0.5]),
+                 rk.OutOfDomain, id="kernel_matrix"),
+    pytest.param(lambda sol: rk.NodeSet(nodes=np.array([[0.5, 0.5], [np.nan, 0.5]]),
+                                        generation={}), ValueError, id="NodeSet"),
+])
+def test_non_finite_coordinate_raises(call, error, ex1_solution_8):
+    # every comparison with NaN is False, so a check written as "x < a or
+    # x > b" lets it through to a NaN result or a LAPACK argument error
+    with pytest.raises(error):
+        call(ex1_solution_8[0])
 
 
 class TestErrorNorms:

@@ -114,33 +114,39 @@ class _KroneckerBlocks:
     def __init__(self, pairs, scales, nt: int, nx: int):
         self.pairs, self.scales, self.nt, self.nx = pairs, scales, nt, nx
 
-    def transposed(self) -> "_KroneckerBlocks":
-        """The same form of A^T: blocks (q, p) with transposed factors."""
-        return _KroneckerBlocks(
-            [[[(S.T, T.T) for S, T in self.pairs[q][p]] for q in (0, 1)] for p in (0, 1)],
-            [[self.scales[q][p] for q in (0, 1)] for p in (0, 1)], self.nt, self.nx)
+    def block(self, p: int, q: int, out: np.ndarray) -> None:
+        """Write block (p, q) of A into the n x n view out.
 
-    def rows(self, i: int, j: int, out: np.ndarray) -> None:
-        """Write rows i..j-1 of A into the C-contiguous out."""
-        n = self.nt * self.nx
-        for p in (0, 1):
-            lo, hi = max(i, p * n), min(j, p * n + n)
-            if lo >= hi:
-                continue
-            it, ix = np.divmod(np.arange(lo - p * n, hi - p * n), self.nx)
-            for q in (0, 1):
-                block = out[lo - i:hi - i, q * n:q * n + n].reshape(hi - lo, self.nt, self.nx)
-                self._block_rows(self.pairs[p][q], it, ix, block)
-                if self.scales[p][q] != 1.0:
-                    block *= self.scales[p][q]
+        out may be strided, as a quadrant of a 2n x 2n array is, as long as
+        its rows or its columns are contiguous.  A Fortran-ordered out is
+        written as its transpose, the block of A^T, from transposed
+        factors: the same products.  The products are taken a few t rows
+        at a time, about _PRODUCT_ROWS rows of the block, so all but the
+        first pair's go through a buffer of that many rows.
+        """
+        pairs = self.pairs[p][q]
+        if out.strides[1] != out.itemsize:
+            pairs, out = [(S.T, T.T) for S, T in pairs], out.T
+        view = out.reshape((self.nt, self.nx, self.nt, self.nx), copy=False)
+        step = max(1, _PRODUCT_ROWS // self.nx)
+        buffer = np.empty((min(step, self.nt),) + view.shape[1:])
+        for r in range(0, self.nt, step):
+            dest = view[r:r + step]
+            for k, (S, T) in enumerate(pairs):
+                product = buffer[:len(dest)] if k else dest
+                np.multiply(T[r:r + step, None, :, None], S[:, None, :], out=product)
+                if k:
+                    dest += product
+        if self.scales[p][q] != 1.0:
+            out *= self.scales[p][q]
 
     def matvec(self, b, absolute=False):
         """A @ b, or |A| @ |b| when absolute, from the factor pairs.
 
         With B_q the q-th half of b as an nt x nx array, block (p, q) maps
         it to scales[p][q] times the sum of T B_q S^T over its pairs; the
-        scale is applied after the sum, as rows applies it.  absolute takes
-        |s|, |T|, |B_q| and |S|.
+        scale is applied after the sum, as block applies it.  absolute
+        takes |s|, |T|, |B_q| and |S|.
         """
         f = np.abs if absolute else (lambda M: M)
         n = self.nt * self.nx
@@ -152,22 +158,6 @@ class _KroneckerBlocks:
                 out[p * n:p * n + n] += f(self.scales[p][q]) * block.ravel()
         return out
 
-    @staticmethod
-    def _block_rows(pairs, it, ix, out):
-        """out[r] = sum over pairs of the outer product T[it[r]] x S[ix[r]].
-
-        The products of all but the first pair go through a buffer of at
-        most _PRODUCT_ROWS rows, so a block of rows needs no second one.
-        """
-        buffer = np.empty((min(_PRODUCT_ROWS, len(it)),) + out.shape[1:])
-        for r in range(0, len(it), _PRODUCT_ROWS):
-            rt, rx, dest = it[r:r + _PRODUCT_ROWS], ix[r:r + _PRODUCT_ROWS], out[r:r + _PRODUCT_ROWS]
-            for k, (S, T) in enumerate(pairs):
-                product = dest if k == 0 else buffer[:len(rt)]
-                np.multiply(T[rt][:, :, None], S[rx][:, None, :], out=product)
-                if k:
-                    dest += product
-
 
 @dataclass(frozen=True)
 class CollocationSystem:
@@ -177,13 +167,13 @@ class CollocationSystem:
     generate_nodes makes, it is its 1-D factor pairs (factors), ~200 KB at
     32 x 32 nodes where A takes 32 MB.  On any other node set it is the
     dense array (dense); there the factors are n x n each, and the 24 of
-    them would take 6 |A|.  rows(i, j) builds rows of A in either form,
-    bitwise equal, and matvec(b) forms A @ b, or |A| @ |b|, without
-    building A.  solve builds A once, from blocks of columns, and takes
-    every other product from matvec.  The A property returns the dense
-    array, or on tensor node sets builds the full matrix anew on each
-    access.  spaces are the state and adjoint trial spaces assemble
-    built; the solution evaluates through them.
+    them would take 6 |A|.  _block(p, q, out) writes one n x n block of A
+    into a C- or Fortran-ordered view, bitwise equal in either form, and
+    matvec(b) forms A @ b, or |A| @ |b|, without building A.  solve writes
+    the four blocks into one Fortran-ordered A, once, and takes every
+    other product from matvec; solve_picard builds only the four blocks.
+    spaces are the state and adjoint trial spaces assemble built; the
+    solution evaluates through them.
     """
 
     C: np.ndarray
@@ -196,21 +186,29 @@ class CollocationSystem:
 
     @property
     def A(self) -> np.ndarray:
-        """The 2n x 2n matrix; from factor pairs, a new array on each access."""
-        return self.dense if self.dense is not None else self.rows(0, len(self.C))
+        """The 2n x 2n matrix; from factor pairs, a new array on each access.
 
-    def rows(self, i: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows i..j-1 of A, written into out (C-contiguous) when given."""
-        if not 0 <= i <= j <= len(self.C):
-            raise ValueError(f"row range {i}:{j} outside 0:{len(self.C)}")
-        if out is None:
-            out = np.empty((j - i, len(self.C)))
-        elif out.shape != (j - i, len(self.C)) or not out.flags.c_contiguous:
-            raise ValueError("out must be a C-contiguous array of the rows' shape")
+        No solve reads it; the benchmark tracer does, and tests compare
+        against it.  It can go once the tracer takes the size of A from C.
+        """
+        return self.dense if self.dense is not None else self._matrix()
+
+    def _matrix(self, order: str = "C") -> np.ndarray:
+        """A new 2n x 2n array of A in the given order, block by block."""
+        n = len(self.node_set)
+        out = np.empty((2 * n, 2 * n), order=order)
+        for p in (0, 1):
+            for q in (0, 1):
+                self._block(p, q, out[p * n:p * n + n, q * n:q * n + n])
+        return out
+
+    def _block(self, p: int, q: int, out: np.ndarray) -> np.ndarray:
+        """Block (p, q) of A, written into the n x n view out."""
         if self.dense is not None:
-            out[...] = self.dense[i:j]
+            n = len(self.node_set)
+            out[...] = self.dense[p * n:p * n + n, q * n:q * n + n]
         else:
-            self.factors.rows(i, j, out)
+            self.factors.block(p, q, out)
         return out
 
     def matvec(self, b: np.ndarray, absolute: bool = False) -> np.ndarray:
@@ -229,14 +227,6 @@ class CollocationSystem:
         for i in range(0, size, _ROW_BLOCK):
             j = min(i + _ROW_BLOCK, size)
             out[i:j] = np.abs(self.dense[i:j], out=buffer[:j - i]) @ b_abs
-        return out
-
-    def _columns(self, i: int, j: int, out: np.ndarray) -> np.ndarray:
-        """Columns i..j-1 of A, written as rows of A^T into out."""
-        if self.dense is not None:
-            out[...] = self.dense[:, i:j].T
-        else:
-            self.factors.transposed().rows(i, j, out)
         return out
 
 
@@ -265,12 +255,12 @@ def standard_kernels(interval, horizon):
 # Peak bytes of a solve as a multiple of |A| = (2n)^2 * 8 B, keyed on
 # whether A is kept as factor pairs (tensor node sets).  Tracemalloc of
 # example 2 at 24^2 and 32^2 nodes: the direct solve holds A, factored in
-# place, and a block of columns, 1.26 and 1.14 |A|, or 2.23 and 2.13 |A|
-# beside a dense A; Picard holds A and copies of its diagonal blocks,
-# 1.50 |A| either way.  The guard adds ~0.25 |A| to the worst path.  The
-# block of columns is a fixed cost under 1 MB, a larger share of a small
-# |A| (1.63 and 2.51 |A| at 16^2 nodes).
-_PEAK_PER_A = {True: 1.75, False: 2.5}
+# place, and a block of columns, 1.22 and 1.13 |A|, or 2.23 and 2.13 |A|
+# beside a dense A; Picard holds the four n x n blocks, 1.03 |A|, or
+# 2.03 |A| beside a dense A.  The guard adds ~0.25 |A| to the worst path.
+# The block of columns is a fixed cost of 256 columns, a larger share of
+# a small |A| (1.50 and 2.51 |A| at 16^2 nodes).
+_PEAK_PER_A = {True: 1.5, False: 2.5}
 
 
 def _physical_memory():
@@ -451,25 +441,25 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
 # rows or columns of A per block in the passes over A; each pass reuses
 # one block buffer, since a fresh multi-MB block per step is paged in anew
 _ROW_BLOCK = 256
-# rows per product buffer when a block of rows is built from factor pairs
+# rows of a block per product buffer when a block is built from factor pairs
 _PRODUCT_ROWS = 32
 
 
 def _filled(system):
-    """A in Fortran order, filled from column blocks, and ||A||_1.
+    """A in Fortran order, written block by block, and ||A||_1.
 
-    Columns of A are contiguous in Fortran order, so each block of them is
-    written as rows of A^T; lu_factor copies a C-ordered A whatever
-    overwrite_a says.
+    lu_factor copies a C-ordered A whatever overwrite_a says.  The column
+    sums of |A| are taken over blocks of columns, rows of A^T, through one
+    reused buffer.
     """
-    size = len(system.C)
-    A = np.empty((size, size), order="F")
+    A = system._matrix(order="F")
     target = A.T                               # C-contiguous: rows of A^T
+    size = len(target)
     buffer = np.empty((min(_ROW_BLOCK, size), size))
     norm_1 = 0.0
     for i in range(0, size, _ROW_BLOCK):
         j = min(i + _ROW_BLOCK, size)
-        block = np.abs(system._columns(i, j, target[i:j]), out=buffer[:j - i])
+        block = np.abs(target[i:j], out=buffer[:j - i])
         norm_1 = max(norm_1, block.sum(axis=1).max())
     return A, float(norm_1)
 
@@ -488,9 +478,9 @@ def _round3(cond):
 def solve(system: CollocationSystem) -> "Solution":
     """Solve the collocation system with one LU factorization.
 
-    One pass fills a Fortran-ordered A from blocks of columns and takes
-    ||A||_1 on the way, so on a tensor node set, where A is kept as factor
-    pairs, the solve builds A once and holds one 2n x 2n array.  A is
+    The four blocks of A are written into one Fortran-ordered array and
+    ||A||_1 is taken from it, so on a tensor node set, where A is kept as
+    factor pairs, the solve builds A once and holds one 2n x 2n array.  A is
     factored in place by LU with partial pivoting; a zero pivot, as a zero
     row gives, raises NumericallySingular.  The factors solve the system,
     then one step of iterative refinement corrects b.  Every product with
@@ -554,13 +544,14 @@ def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 
     import scipy.linalg
 
     n = len(system.node_set)
-    A, C = system.A, system.C
-    A11, A12 = A[:n, :n], A[:n, n:]
-    A21, A22 = A[n:, :n], A[n:, n:]
-    C1, C2 = C[:n], C[n:]
+    # the diagonal blocks are factored in place, so they are written in
+    # Fortran order; the off-diagonal ones serve row-major products
+    A11, A22 = (system._block(p, p, np.empty((n, n), order="F")) for p in (0, 1))
+    A12, A21 = (system._block(p, 1 - p, np.empty((n, n))) for p in (0, 1))
+    C1, C2 = system.C[:n], system.C[n:]
     try:
-        lu1, piv1 = scipy.linalg.lu_factor(A11)
-        lu2, piv2 = scipy.linalg.lu_factor(A22)
+        lu1, piv1 = scipy.linalg.lu_factor(A11, overwrite_a=True)
+        lu2, piv2 = scipy.linalg.lu_factor(A22, overwrite_a=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericallySingular(f"diagonal block factorization failed: {exc}") from exc
     # LAPACK's getrs itself, as lu_solve calls it, without lu_solve's
@@ -684,14 +675,12 @@ def grid_error_norms(approx, reference, xs, ts) -> dict:
 def error_norms(sol, exact: ExactSolution, eval_grid=(101, 101)) -> dict:
     """Error norms of y, p and u on a uniform inclusive evaluation grid.
 
-    sol is anything exposing evaluate_grid(xs, ts) -> (y, p, u); the L2
-    norm uses the trapezoidal rule over the full rectangle.
+    sol is anything exposing evaluate_grid(xs, ts) -> (y, p, u) and the
+    homogenized problem hom, whose rectangle the grid spans; the L2 norm
+    uses the trapezoidal rule over it.
     """
     ne_x, ne_t = eval_grid
-    if hasattr(sol, "hom"):
-        (a, b), T = sol.hom.base.interval, sol.hom.base.T
-    else:
-        (a, b), T = (0.0, 1.0), 1.0
+    (a, b), T = sol.hom.base.interval, sol.hom.base.T
     xs = np.linspace(a, b, ne_x)
     ts = np.linspace(0.0, T, ne_t)
     return grid_error_norms(sol.evaluate_grid(xs, ts), exact_grid(exact, xs, ts), xs, ts)

@@ -197,8 +197,7 @@ class Kernel1D:
         Shape (len(ys), max_dy + 1, 2 (2m+2)): entry [j, dy] is the left
         piece followed by the right piece.  One stacked inverse serves all
         centres.  A centre whose matrix is singular, or whose inverse is not
-        finite, is solved by least squares, and raises
-        SingularConditionSystem unless that solution satisfies the system.
+        finite, raises SingularConditionSystem naming the first such centre.
         """
         m = self.spec.order_m
         ys = [float(y) for y in np.ravel(ys)]
@@ -206,26 +205,24 @@ class Kernel1D:
         M0 = self._condition_matrices(rows)
         try:
             inv = np.linalg.inv(M0)
-        except np.linalg.LinAlgError:
-            inv = np.array([_inverse_or_nan(M) for M in M0])
-        bad = np.flatnonzero(~np.isfinite(inv).all(axis=(1, 2)))
-        inv[bad] = 0.0
-
-        def solve(rhs):
-            sol = np.matmul(inv, rhs[..., None])[..., 0]
-            for i in bad:
-                sol[i] = _checked_lstsq(M0[i], rhs[i], ys[i])
-            return sol
+            finite = np.isfinite(inv).all(axis=(1, 2))
+        except np.linalg.LinAlgError:            # an exactly zero pivot
+            inv, finite = None, np.linalg.matrix_rank(M0) == M0.shape[1]
+        if inv is None or not finite.all():
+            i = int(np.argmin(finite))           # the first bad centre
+            raise SingularConditionSystem(
+                f"condition system is singular at y={ys[i]} "
+                f"(rank {np.linalg.matrix_rank(M0[i])} of {M0.shape[1]})")
 
         e = np.zeros((len(ys), 4 * m + 4))
         e[:, -1] = (-1.0) ** (m + 1)
-        sols = [solve(e)]
+        sols = [np.matmul(inv, e[..., None])[..., 0]]
         shifted = [self._condition_matrices(rows, shift=j) for j in range(1, max_dy + 1)]
         for k in range(1, max_dy + 1):
             rhs = np.zeros_like(e)
             for j in range(1, k + 1):
                 rhs -= math.comb(k, j) * np.matmul(shifted[j - 1], sols[k - j][..., None])[..., 0]
-            sols.append(solve(rhs))
+            sols.append(np.matmul(inv, rhs[..., None])[..., 0])
         return np.stack(sols, axis=1)
 
     # -- evaluation --------------------------------------------------------
@@ -247,22 +244,6 @@ class Kernel1D:
         """
         out = kernel_matrix(self, x, [y], dx, dy)[:, 0].reshape(np.shape(x))
         return out if out.shape else float(out)
-
-
-def _inverse_or_nan(M):
-    try:
-        return np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return np.full_like(M, np.nan)
-
-
-def _checked_lstsq(M, rhs, y):
-    sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
-    if not np.isfinite(sol).all() or np.abs(M @ sol - rhs).max() > 1e-8 * (1 + np.abs(rhs).max()):
-        raise SingularConditionSystem(
-            f"condition system is rank deficient at y={y} "
-            f"(rank {rank} of {M.shape[0]})")
-    return sol
 
 
 def build_kernel(spec: SpaceSpec) -> Kernel1D:

@@ -232,7 +232,7 @@ class TestFailureModes:
         assert "y_d - y_hat is not finite at 4 of 16 nodes" in err["reason"]
 
     def test_size_over_physical_memory_refused(self, tmp_path, capsys, monkeypatch):
-        # 4x4 nodes: 1.75 * 32^2 * 8 B = 14 KB estimated against an 8 KB budget
+        # 4x4 nodes: 1.5 * 32^2 * 8 B = 12 KB estimated against an 8 KB budget
         monkeypatch.setattr(collocation, "_physical_memory", lambda: 2 ** 13)
         rc = cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
         assert rc == 2

@@ -116,17 +116,17 @@ class TestAssemble:
                                                     monkeypatch):
         _, _, hom = ex1_case
         nodes = rk.generate_nodes(24, 24, UNIT)      # |A| = 1152^2 * 8 B = 10.1 MB
-        monkeypatch.setattr(collocation, "_physical_memory", lambda: 16 * 2 ** 20)
-        with pytest.raises(ValueError, match="576 nodes need an estimated 18 MB "
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: 12 * 2 ** 20)
+        with pytest.raises(ValueError, match="576 nodes need an estimated 15 MB "
                                              "for the dense 1152x1152 solve, more "
-                                             "than the 16 MB of physical memory"):
+                                             "than the 12 MB of physical memory"):
             rk.assemble(hom, nodes, unit_kernels)
 
-    @pytest.mark.parametrize("layout, per_a", [("grid", 1.75), ("jittered", 2.5)])
+    @pytest.mark.parametrize("layout, per_a", [("grid", 1.5), ("jittered", 2.5)])
     def test_footprint_estimate_per_representation(self, layout, per_a, ex1_case,
                                                    unit_kernels, monkeypatch):
-        # the worst path is Picard (1.5 |A|) from factor pairs and the
-        # direct solve (2.2 |A|) beside a dense A, each with a margin
+        # the worst path is the direct solve, 1.2 |A| from factor pairs and
+        # 2.2 |A| beside a dense A, each with a margin
         _, _, hom = ex1_case
         nodes = node_layout(layout, 2)
         estimate = per_a * 8 ** 2 * 8
@@ -172,23 +172,20 @@ class TestAssemble:
         assert np.array_equal(A[np.ix_(both, both)], gathered.A)
         assert np.array_equal(system.C[both], gathered.C)
 
-    @pytest.mark.parametrize("n_x, n_t", [(4, 4), (5, 7), (24, 24)])
-    def test_row_ranges(self, n_x, n_t, ex1_case, unit_kernels):
+    @pytest.mark.parametrize("n_x, n_t", [(1, 1), (4, 4), (5, 7), (24, 24)])
+    def test_blocks(self, n_x, n_t, ex1_case, unit_kernels):
+        # every block in both orders and both forms; A itself is checked
+        # against a gather in test_factor_rows_match_gather
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(n_x, n_t, UNIT), unit_kernels)
         n, A = n_x * n_t, system.A
-        for dense in (False, True):
-            if dense:
-                system = dense_backed(system, A)
-            for i, j in [(0, 2 * n), (0, 1), (n - 1, n + 1), (n - 3, 2 * n - 1),
-                         (1, n), (n, 2 * n), (5, 5), (2 * n - 1, 2 * n)]:
-                assert np.array_equal(system.rows(i, j), A[i:j])
-                columns = system._columns(i, j, np.empty((j - i, 2 * n)))
-                assert np.array_equal(columns, A[:, i:j].T)
-        with pytest.raises(ValueError, match="outside"):
-            system.rows(n, 2 * n + 1)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            system.rows(0, 2, np.empty((2 * n, 2)).T)
+        for form in (system, dense_backed(system, A)):
+            for p in (0, 1):
+                for q in (0, 1):
+                    quadrant = A[p * n:p * n + n, q * n:q * n + n]
+                    for order in "CF":
+                        out = form._block(p, q, np.empty((n, n), order=order))
+                        assert np.array_equal(out, quadrant)
 
     def test_assembly_holds_factor_pairs_only(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
@@ -314,15 +311,15 @@ class TestSolve:
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(6, 5, UNIT), unit_kernels)
         built = []
-        rows = collocation._KroneckerBlocks.rows
+        block = collocation._KroneckerBlocks.block
 
-        def counting(self, i, j, out):
-            built.append(j - i)
-            return rows(self, i, j, out)
+        def counting(self, p, q, out):
+            built.append((p, q))
+            return block(self, p, q, out)
 
-        monkeypatch.setattr(collocation._KroneckerBlocks, "rows", counting)
+        monkeypatch.setattr(collocation._KroneckerBlocks, "block", counting)
         rk.solve(system)
-        assert sum(built) == len(system.C)
+        assert sorted(built) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     @pytest.mark.parametrize("example_id, nu, layout, n_x, n_t", [
         pytest.param(1, 1e-2, "grid", 4, 4, id="4x4"),
@@ -391,6 +388,18 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * system.A.nbytes
+
+    def test_picard_memory_below_one_and_a_tenth_matrices(self):
+        # the four n x n blocks, the diagonal ones factored in place, plus
+        # lu_factor's finiteness mask; a whole A beside them makes it 1.5 |A|
+        _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
+        tracemalloc.start()
+        try:
+            rk.solve_picard(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * system.C.size ** 2 * 8
 
     def test_assemble_and_solve_below_one_and_a_third_matrices(self):
         # counting everything: the factor pairs, then A and a block of columns
@@ -568,9 +577,12 @@ def test_non_finite_coordinate_raises(call, error, ex1_solution_8):
 
 class TestErrorNorms:
     def test_zero_for_exact_reproduction(self, ex1_case):
-        _, exact, _ = ex1_case
+        _, exact, hom = ex1_case
 
         class ExactStub:
+            def __init__(self):
+                self.hom = hom
+
             def evaluate_grid(self, xs, ts):
                 X, T = np.meshgrid(xs, ts)
                 return (np.asarray(exact.y_exact(X, T), dtype=float),
@@ -614,6 +626,17 @@ class TestPicard:
         assert not info.converged
         assert info.iterations == info.max_iter == 200
         assert np.isfinite(info.last_change)
+
+    def test_builds_no_whole_matrix(self, ex1_solution_8, monkeypatch):
+        _, system = ex1_solution_8
+        assert system.dense is None
+
+        def whole(self):
+            raise AssertionError("solve_picard read CollocationSystem.A")
+
+        monkeypatch.setattr(rk.CollocationSystem, "A", property(whole))
+        _, info = rk.solve_picard(system, max_iter=5)
+        assert info.iterations == 5
 
     def test_sweeps_equal_lu_solve(self, ex1_solution_8):
         # the sweeps call LAPACK getrs directly; lu_solve gives the same bits

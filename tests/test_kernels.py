@@ -232,7 +232,7 @@ class TestBatchedPieces:
 
     def test_singular_centre_raises(self):
         # u'(a) = 0 leaves the constants with zero norm: every centre's
-        # matrix is singular and goes through the least-squares check
+        # matrix is singular, and the first centre is named with its rank
         kernel = kernels.Kernel1D(rk.SpaceSpec(1, (0.0, 1.0), (("a", 1),)))
         with pytest.raises(rk.SingularConditionSystem, match=r"y=0\.3 \(rank 7 of 8\)"):
             kernel.pieces([0.3, 0.6])

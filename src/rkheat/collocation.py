@@ -562,15 +562,22 @@ def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 
     converged = False
     change = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        b1_new, _ = getrs(lu1, piv1, C1 - A12 @ b2, overwrite_b=True)
-        b2_new, _ = getrs(lu2, piv2, C2 - A21 @ b1, overwrite_b=True)
-        change = max(np.abs(b1_new - b1).max(), np.abs(b2_new - b2).max())
-        b1, b2 = b1_new, b2_new
-        scale = max(1.0, np.abs(b1).max(), np.abs(b2).max())
-        if change < tol * scale:
-            converged = True
-            break
+    # a diverging iterate stops at its first overflowing sweep
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for iterations in range(1, max_iter + 1):
+                b1_new, _ = getrs(lu1, piv1, C1 - A12 @ b2, overwrite_b=True)
+                b2_new, _ = getrs(lu2, piv2, C2 - A21 @ b1, overwrite_b=True)
+                change = max(np.abs(b1_new - b1).max(), np.abs(b2_new - b2).max())
+                b1, b2 = b1_new, b2_new
+                scale = max(1.0, np.abs(b1).max(), np.abs(b2).max())
+                if change < tol * scale:
+                    converged = True
+                    break
+    except FloatingPointError as exc:
+        raise NumericallySingular(
+            f"picard iteration diverged: sweep {iterations} of {max_iter} "
+            f"overflowed ({exc})") from exc
     if not np.isfinite(b1).all() or not np.isfinite(b2).all():
         raise NumericallySingular("picard iteration produced non-finite coefficients")
     info = PicardInfo(converged=converged, iterations=iterations,

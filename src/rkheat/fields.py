@@ -4,7 +4,8 @@ A ScalarField wraps a plain callable f(x, t) and, when available, exact
 closures for its mixed partial derivatives.  When a closure is missing the
 derivative falls back to fourth-order central finite differences, which is
 accurate enough for diagnostics and for homogenizing user-supplied data.
-Built-in benchmark fields always carry exact closures.
+Built-in benchmark fields carry exact closures for every order <= 2 per
+variable.
 """
 
 from __future__ import annotations

@@ -10,13 +10,10 @@ from .errors import GridMismatch
 
 __all__ = ["SpaceTimeGrid", "GridField", "trapezoid_2d"]
 
-# numpy 2 renamed trapz to trapezoid
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 def trapezoid_2d(values, xs, ts) -> float:
     """Trapezoidal integral of t-major values[j, i] = f(xs[i], ts[j])."""
-    return _trapz(_trapz(values, xs, axis=1), ts)
+    return np.trapezoid(np.trapezoid(values, xs, axis=1), ts)
 
 
 @dataclass(frozen=True)

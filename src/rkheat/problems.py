@@ -5,10 +5,13 @@ The model problem on [a, b] x [0, T] is
     min J(u) = 1/2 iint (y - y_d)^2 + nu/2 iint u^2
     s.t.  -y_t + y_xx = u,   y = h on the lateral boundary,  y(., 0) = y0.
 
-Three closed-form benchmark problems are built in.  Their target data y_d is
-always re-derived from the closed-form state/adjoint pair through the adjoint
-equation y_d = p_t + p_xx + y, never transcribed, so each benchmark is an
-exactly manufactured problem for that pair.
+Three closed-form benchmark problems are built in.  Each state is separable,
+y = g(t) X(x) with g a polynomial, and its adjoint is the forward equation
+solved for the control, p = nu (-y_t + y_xx); p and every partial derivative
+of order <= 2 per variable are derived from g and X, never transcribed.  The
+target data y_d is re-derived from the pair through the adjoint equation
+y_d = p_t + p_xx + y, so each benchmark is an exactly manufactured problem
+for that pair.
 
 A caveat the diagnostics surface explicitly: the closed-form adjoints of
 benchmarks 1 and 3 do not vanish on the lateral boundary, while any solver
@@ -141,149 +144,48 @@ def _zero_data_problem(nu, y_d):
                           y0=lambda x: 0.0 * np.asarray(x, dtype=float))
 
 
-def _per_distinct_t(f):
-    """f(t) evaluated once per time level of t, broadcast to t's shape.
+def _separable_pair(g, dX, nu):
+    """State y = g(t) X(x) and adjoint p = nu (-y_t + y_xx) as ScalarFields.
 
-    Each entry equals f at that entry bitwise: f is elementwise, and on a
-    t-major grid its ** powers then run once per time level instead of once
-    per grid point.  A 2-D t whose rows are each constant, as a t-major
-    meshgrid is, takes f of its first column; any other array takes f of
-    its distinct values, whose sort (np.unique) costs more than one of
-    these polynomials on a whole 100 x 100 grid.  Anything but an array of
-    rank >= 1 is passed through, so scalars keep Python's float **.
+    g is a Polynomial and dX lists X and its first four derivatives.  A
+    field is a dict {k: P} meaning sum P(t) X^(k)(x): d/dt differentiates
+    each P and d/dx moves P from k to k+1, so y = {0: g} and
+    p = {0: -nu g', 2: nu g}.  Both fields carry every partial of order
+    <= 2 in x and in t.
     """
-    def per_t(t):
-        if not isinstance(t, np.ndarray) or t.ndim == 0:
-            return f(t)
-        if t.ndim == 2 and t.size and (t == t[:, :1]).all():
-            return np.repeat(f(t[:, 0]), t.shape[1]).reshape(t.shape)
-        distinct, inverse = np.unique(t, return_inverse=True)
-        return f(distinct)[inverse].reshape(np.shape(t))
-    return per_t
+    def value(terms):
+        def f(x, t):
+            x = np.asarray(x, dtype=float)
+            return sum(P(t) * dX[k](x) for k, P in terms.items())
+        return f
+
+    def field(terms):
+        return ScalarField(value(terms), {
+            (i, j): value({k + i: P.deriv(j) for k, P in terms.items()})
+            for i in range(3) for j in range(3)})
+
+    return field({0: g}), field({0: -nu * g.deriv(), 2: nu * g})
 
 
 def _example_fields(example_id, nu):
-    """Closed forms and hand derivatives of the three benchmarks."""
+    """The three benchmarks: g(t) and X, X', ..., X'''' of y = g(t) X(x)."""
+    P = np.polynomial.Polynomial
     if example_id == 1:
-        # y = t^2 (1-t)^3 x(x-1)
-        @_per_distinct_t
-        def g(t):
-            return t ** 2 * (1 - t) ** 3
-
-        @_per_distinct_t
-        def gp(t):
-            return 2 * t * (1 - t) ** 3 - 3 * t ** 2 * (1 - t) ** 2
-
-        def X(x):
-            return x * (x - 1)
-
-        # p = nu * (q(t) x(x-1) + r(t)) with q = 2t(t-1)^3 + 3t^2(t-1)^2,
-        # r = -2 t^2 (t-1)^3; this equals nu*(-y_t + y_xx) identically.
-        @_per_distinct_t
-        def q(t):
-            return 2 * t * (t - 1) ** 3 + 3 * t ** 2 * (t - 1) ** 2
-
-        @_per_distinct_t
-        def qp(t):
-            return 2 * (t - 1) ** 3 + 12 * t * (t - 1) ** 2 + 6 * t ** 2 * (t - 1)
-
-        @_per_distinct_t
-        def r(t):
-            return -2 * t ** 2 * (t - 1) ** 3
-
-        @_per_distinct_t
-        def rp(t):
-            return -4 * t * (t - 1) ** 3 - 6 * t ** 2 * (t - 1) ** 2
-
-        y = ScalarField(lambda x, t: g(t) * X(x), {
-            (0, 1): lambda x, t: gp(t) * X(x),
-            (2, 0): lambda x, t: 2 * g(t) + 0.0 * np.asarray(x, dtype=float),
-            (1, 0): lambda x, t: g(t) * (2 * np.asarray(x, dtype=float) - 1),
-        })
-        p = ScalarField(lambda x, t: nu * (q(t) * X(x) + r(t)), {
-            (0, 1): lambda x, t: nu * (qp(t) * X(x) + rp(t)),
-            (2, 0): lambda x, t: nu * 2 * q(t) + 0.0 * np.asarray(x, dtype=float),
-            (1, 0): lambda x, t: nu * q(t) * (2 * np.asarray(x, dtype=float) - 1),
-        })
-        return y, p
-
-    if example_id == 2:
-        # y = t^2 (t-1)^2 (t-2)^2 sin(pi x)
-        @_per_distinct_t
-        def g(t):
-            return t ** 2 * (t - 1) ** 2 * (t - 2) ** 2
-
-        @_per_distinct_t
-        def gp(t):
-            return (2 * t * (t - 1) ** 2 * (t - 2) ** 2
-                    + 2 * t ** 2 * (t - 1) * (t - 2) ** 2
-                    + 2 * t ** 2 * (t - 1) ** 2 * (t - 2))
-
-        @_per_distinct_t
-        def gpp(t):
-            return (2 * (t - 1) ** 2 * (t - 2) ** 2
-                    + 8 * t * (t - 1) * (t - 2) ** 2
-                    + 8 * t * (t - 1) ** 2 * (t - 2)
-                    + 2 * t ** 2 * (t - 2) ** 2
-                    + 8 * t ** 2 * (t - 1) * (t - 2)
-                    + 2 * t ** 2 * (t - 1) ** 2)
-
-        pi = math.pi
-
-        def s(x):
-            return np.sin(pi * np.asarray(x, dtype=float))
-
-        y = ScalarField(lambda x, t: g(t) * s(x), {
-            (0, 1): lambda x, t: gp(t) * s(x),
-            (2, 0): lambda x, t: -pi ** 2 * g(t) * s(x),
-            (1, 0): lambda x, t: pi * g(t) * np.cos(pi * np.asarray(x, dtype=float)),
-        })
-        p = ScalarField(lambda x, t: nu * (-gp(t) - pi ** 2 * g(t)) * s(x), {
-            (0, 1): lambda x, t: nu * (-gpp(t) - pi ** 2 * gp(t)) * s(x),
-            (2, 0): lambda x, t: -pi ** 2 * nu * (-gp(t) - pi ** 2 * g(t)) * s(x),
-            (1, 0): lambda x, t: pi * nu * (-gp(t) - pi ** 2 * g(t))
-            * np.cos(pi * np.asarray(x, dtype=float)),
-        })
-        return y, p
-
-    if example_id == 3:
-        # y = t^3 (1-t)^3 (1 - cos 2 pi x)
-        @_per_distinct_t
-        def g(t):
-            return t ** 3 * (1 - t) ** 3
-
-        @_per_distinct_t
-        def gp(t):
-            return 3 * t ** 2 * (1 - t) ** 3 - 3 * t ** 3 * (1 - t) ** 2
-
-        @_per_distinct_t
-        def gpp(t):
-            return (6 * t * (1 - t) ** 3 - 18 * t ** 2 * (1 - t) ** 2
-                    + 6 * t ** 3 * (1 - t))
-
-        two_pi = 2 * math.pi
-
-        def c(x):
-            return np.cos(two_pi * np.asarray(x, dtype=float))
-
-        def w(x):
-            return 1 - c(x)
-
-        y = ScalarField(lambda x, t: g(t) * w(x), {
-            (0, 1): lambda x, t: gp(t) * w(x),
-            (2, 0): lambda x, t: g(t) * two_pi ** 2 * c(x),
-            (1, 0): lambda x, t: g(t) * two_pi * np.sin(two_pi * np.asarray(x, dtype=float)),
-        })
-        p = ScalarField(lambda x, t: nu * (-gp(t) * w(x) + two_pi ** 2 * g(t) * c(x)), {
-            (0, 1): lambda x, t: nu * (-gpp(t) * w(x) + two_pi ** 2 * gp(t) * c(x)),
-            (2, 0): lambda x, t: nu * (-gp(t) * two_pi ** 2 * c(x)
-                                       - two_pi ** 4 * g(t) * c(x)),
-            (1, 0): lambda x, t: nu * (-gp(t) - two_pi ** 2 * g(t))
-            * two_pi * np.sin(two_pi * np.asarray(x, dtype=float)),
-        })
-        return y, p
-
-    raise UnknownExample(f"example id must be 1, 2 or 3, got {example_id!r}")
+        g, X = -P.fromroots([0, 0, 1, 1, 1]), P.fromroots([0, 1])
+        dX = [X.deriv(k) for k in range(5)]
+    elif example_id == 2:
+        g, w = P.fromroots([0, 0, 1, 1, 2, 2]), math.pi
+        dX = [lambda x: np.sin(w * x), lambda x: w * np.cos(w * x),
+              lambda x: -w ** 2 * np.sin(w * x), lambda x: -w ** 3 * np.cos(w * x),
+              lambda x: w ** 4 * np.sin(w * x)]
+    elif example_id == 3:
+        g, w = -P.fromroots([0, 0, 0, 1, 1, 1]), 2 * math.pi
+        dX = [lambda x: 1 - np.cos(w * x), lambda x: w * np.sin(w * x),
+              lambda x: w ** 2 * np.cos(w * x), lambda x: -w ** 3 * np.sin(w * x),
+              lambda x: -w ** 4 * np.cos(w * x)]
+    else:
+        raise UnknownExample(f"example id must be 1, 2 or 3, got {example_id!r}")
+    return _separable_pair(g, dX, nu)
 
 
 def builtin_example(example_id: int, nu: float = 1e-6):

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from oracles import write_csv_reference
 from rkheat.errors import NumericallySingular
 from rkheat.problems import builtin_example
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SOLVE_ARGS = ["solve", "--example", "1", "--nu", "1e-2", "--nx", "4", "--nt", "4",
               "--eval-grid", "21x21"]
 
@@ -216,6 +219,20 @@ class TestFailureModes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "NumericallySingular"
         assert err["reason"] == "synthetic failure"
+
+    def test_diverging_picard_prints_one_line(self, tmp_path):
+        # run with Python's default warning filters, where numpy's overflow
+        # warning used to reach stderr ahead of the JSON line
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "rkheat", "solve", "--example", "1", "--nu", "1e-6",
+             "--nx", "8", "--nt", "8", "--mode", "picard", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert json.loads(lines[0])["error"] == "NumericallySingular"
 
     @pytest.mark.parametrize("mode_args", [[], ["--mode", "picard"]], ids=["direct", "picard"])
     def test_nonfinite_target_named(self, tmp_path, capsys, monkeypatch, mode_args):

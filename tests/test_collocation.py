@@ -627,6 +627,12 @@ class TestPicard:
         assert info.iterations == info.max_iter == 200
         assert np.isfinite(info.last_change)
 
+    def test_divergence_raises_at_the_overflowing_sweep(self):
+        # at nu = 1e-6 the iterate grows without bound; the sweep that
+        # overflows raises, where a warning (an error here) came first
+        with pytest.raises(rk.NumericallySingular, match=r"sweep \d+ of 200 overflowed"):
+            solve_example(1, 1e-6, 8, 8, mode="picard")
+
     def test_builds_no_whole_matrix(self, ex1_solution_8, monkeypatch):
         _, system = ex1_solution_8
         assert system.dense is None

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import rkheat as rk
-from rkheat import problems
 
 
 def zero_t(t):
@@ -101,28 +100,49 @@ class TestBuiltinExamples:
         assert exact.p_exact(0.5, 0.5) == pytest.approx(1e-6 * 0.046875, rel=1e-12)
         assert exact.u_exact(0.5, 0.5) == pytest.approx(0.046875, rel=1e-12)
 
-    def test_per_distinct_t_equals_whole_array(self, monkeypatch):
-        # the examples' t-only polynomials run once per row of a t-major
-        # grid, else once per distinct t; every value and partial must equal
-        # the whole-array one bitwise, in type too, on grids, views,
-        # scattered points, empty arrays and scalars
-        fields = {i: problems._example_fields(i, 1e-2) for i in (1, 2, 3)}
-        monkeypatch.setattr(problems, "_per_distinct_t", lambda f: f)
-        whole = {i: problems._example_fields(i, 1e-2) for i in (1, 2, 3)}
+    # the printed pairs; each p is nu (-y_t + y_xx) of its y
+    PRINTED = {
+        1: (lambda x, t, nu: t ** 2 * (1 - t) ** 3 * x * (x - 1),
+            lambda x, t, nu: nu * ((2 * t * (t - 1) ** 3 + 3 * t ** 2 * (t - 1) ** 2)
+                                   * x * (x - 1) - 2 * t ** 2 * (t - 1) ** 3)),
+        2: (lambda x, t, nu: t ** 2 * (t - 1) ** 2 * (t - 2) ** 2 * np.sin(np.pi * x),
+            lambda x, t, nu: nu * (-2 * t * (t - 1) * (t - 2) * (3 * t ** 2 - 6 * t + 2)
+                                   - np.pi ** 2 * t ** 2 * (t - 1) ** 2 * (t - 2) ** 2)
+            * np.sin(np.pi * x)),
+        3: (lambda x, t, nu: t ** 3 * (1 - t) ** 3 * (1 - np.cos(2 * np.pi * x)),
+            lambda x, t, nu: nu * (-3 * t ** 2 * (1 - t) ** 2 * (1 - 2 * t)
+                                   * (1 - np.cos(2 * np.pi * x))
+                                   + 4 * np.pi ** 2 * t ** 3 * (1 - t) ** 3
+                                   * np.cos(2 * np.pi * x))),
+    }
+
+    @pytest.mark.parametrize("nu", [1e-2, 1e-6])
+    @pytest.mark.parametrize("example_id", [1, 2, 3])
+    def test_pairs_match_printed_closed_forms(self, example_id, nu, rng):
+        # g(t) is summed from its monomial coefficients, which cancel near
+        # its multiple roots: up to 2.7e-14 of the field's largest value
+        _, exact = rk.builtin_example(example_id, nu=nu)
+        x, t = rng.uniform(0.0, 1.0, (2, 500))
+        for field, printed in zip((exact.y_exact, exact.p_exact), self.PRINTED[example_id]):
+            want = printed(x, t, nu)
+            assert np.abs(field(x, t) - want).max() <= 5e-14 * np.abs(want).max()
+
+    def test_partials_take_the_broadcast_shape(self):
         X, T = np.meshgrid(np.linspace(0.0, 1.0, 37), np.linspace(0.0, 1.0, 23))
         xr, tr = np.random.default_rng(5).uniform(0.0, 1.0, (2, 50))
         inputs = [(X, T), (X.T, T.T), (X[::2, ::3], T[::2, ::3]),
                   (X, np.broadcast_to(T[:, :1], X.shape)), (xr, tr), (X[0], 0.3),
                   (0.4, T[:, 0]), (xr, np.float64(0.3)), (X[:, :0], T[:, :0]),
                   (np.float64(0.4), np.float64(0.3)), (0.4, 0.3)]
-        for i in (1, 2, 3):
-            for field, reference in zip(fields[i], whole[i]):
+        for example_id in (1, 2, 3):
+            _, exact = rk.builtin_example(example_id, nu=1e-2)
+            for field in (exact.y_exact, exact.p_exact):
                 for x, t in inputs:
-                    for dx, dt in ((0, 0), (0, 1), (2, 0), (1, 0)):
-                        got = field.partial(x, t, dx, dt)
-                        want = reference.partial(x, t, dx, dt)
-                        assert np.array_equal(got, want), (i, dx, dt)
-                        assert type(got) is type(want), (i, dx, dt)
+                    shape = np.broadcast_shapes(np.shape(x), np.shape(t))
+                    for dx in range(3):
+                        for dt in range(3):
+                            got = field.partial(x, t, dx, dt)
+                            assert np.shape(got) == shape, (example_id, dx, dt)
 
     def test_example1_state_vanishes_at_time_ends(self):
         _, exact = rk.builtin_example(1, nu=1e-2)
@@ -149,18 +169,30 @@ class TestBuiltinExamples:
                            np.asarray(exact.p_exact(xs, ts)) / 1e-2,
                            rtol=1e-13, atol=1e-300)
 
-    def test_hand_partials_match_finite_differences(self):
-        # The closures carry hand derivatives; probe them against central
-        # differences of the plain values.
+    def test_partials_match_finite_differences(self):
+        # every partial of order <= 2 in x and in t is exact; probe each
+        # against nested central differences of the plain values
+        def central(f, x, t, dx, dt, h=1e-3):
+            if dx:
+                return (central(f, x + h, t, dx - 1, dt)
+                        - central(f, x - h, t, dx - 1, dt)) / (2 * h)
+            if dt:
+                return (central(f, x, t + h, 0, dt - 1)
+                        - central(f, x, t - h, 0, dt - 1)) / (2 * h)
+            return f(x, t)
+
+        x, t = np.random.default_rng(3).uniform(0.1, 0.9, (2, 20))
         for example_id in (1, 2, 3):
             _, exact = rk.builtin_example(example_id, nu=1e-2)
-            h = 1e-5
             for f in (exact.y_exact, exact.p_exact):
-                x0, t0 = 0.43, 0.61
-                fd_t = (f(x0, t0 + h) - f(x0, t0 - h)) / (2 * h)
-                assert f.partial(x0, t0, 0, 1) == pytest.approx(fd_t, abs=1e-8)
-                fd_xx = (f(x0 + h, t0) - 2 * f(x0, t0) + f(x0 - h, t0)) / h ** 2
-                assert f.partial(x0, t0, 2, 0) == pytest.approx(fd_xx, abs=1e-5)
+                for dx in range(3):
+                    for dt in range(3):
+                        if (dx, dt) == (0, 0):
+                            continue
+                        got = f.partial(x, t, dx, dt)
+                        # measured worst: 5e-5 of the partial's largest value
+                        assert (np.abs(got - central(f, x, t, dx, dt)).max()
+                                <= 1e-3 * np.abs(got).max()), (example_id, dx, dt)
 
 
 class TestDeriveYd:

@@ -12,9 +12,10 @@ homogeneous side conditions exactly.  A Crank-Nicolson finite-difference
 solver of the same coupled system serves as an independent cross-check.
 """
 
-from .collocation import (CollocationSystem, NodeSet, PicardInfo, Solution,
-                          assemble, error_norms, evaluate, generate_nodes,
-                          solve, solve_picard, standard_kernels)
+from .collocation import (ADJOINT, FORWARD, CollocationSystem, NodeSet,
+                          PicardInfo, Solution, assemble, error_norms,
+                          evaluate, generate_nodes, solve, solve_picard,
+                          standard_kernels)
 from .errors import (GridMismatch, KernelDomainMismatch, NonDifferentiableData,
                      NumericallySingular, OutOfDomain, RKHeatError,
                      SingularConditionSystem, SingularDiscretization,
@@ -25,8 +26,7 @@ from .fields import ScalarField
 from .grids import GridField, SpaceTimeGrid
 from .kernels import (Kernel1D, SpaceSpec, TensorKernel, build_kernel,
                       kernel_matrix)
-from .optimality import (ADJOINT, FORWARD, apply_operator, recover_control,
-                         residual_adjoint, residual_forward)
+from .optimality import apply_operator, residual_adjoint, residual_forward
 from .problems import (ControlProblem, ExactSolution, HomogenizedProblem,
                        builtin_example, check_exact_consistency,
                        cost_functional, derive_yd, homogenize)
@@ -44,8 +44,8 @@ __all__ = [
     "builtin_example", "derive_yd", "homogenize", "cost_functional",
     "check_exact_consistency",
     # optimality system
-    "FORWARD", "ADJOINT", "apply_operator", "recover_control",
-    "residual_forward", "residual_adjoint",
+    "FORWARD", "ADJOINT", "apply_operator", "residual_forward",
+    "residual_adjoint",
     # collocation solver
     "NodeSet", "CollocationSystem", "PicardInfo", "Solution", "standard_kernels",
     "generate_nodes", "assemble", "solve", "solve_picard", "evaluate",

@@ -43,10 +43,11 @@ import numpy as np
 from .errors import KernelDomainMismatch, NumericallySingular, OutOfDomain
 from .grids import trapezoid_2d
 from .kernels import SpaceSpec, TensorKernel, build_kernel, kernel_matrix
-from .optimality import ADJOINT, FORWARD
 from .problems import ExactSolution, HomogenizedProblem
 
 __all__ = [
+    "FORWARD",
+    "ADJOINT",
     "NodeSet",
     "CollocationSystem",
     "PicardInfo",
@@ -59,6 +60,11 @@ __all__ = [
     "evaluate",
     "error_norms",
 ]
+
+# The parabolic operators -d/dt + d^2/dx^2 (forward) and +d/dt + d^2/dx^2
+# (adjoint) differ only in the sign of the time derivative.
+FORWARD = -1.0
+ADJOINT = 1.0
 
 # operators as (coef, dx, dt) terms: sum coef * d_x^dx d_t^dt
 L1 = ((FORWARD, 0, 1), (1.0, 2, 0))
@@ -255,11 +261,11 @@ def standard_kernels(interval, horizon):
 # Peak bytes of a solve as a multiple of |A| = (2n)^2 * 8 B, keyed on
 # whether A is kept as factor pairs (tensor node sets).  Tracemalloc of
 # example 2 at 24^2 and 32^2 nodes: the direct solve holds A, factored in
-# place, and a block of columns, 1.22 and 1.13 |A|, or 2.23 and 2.13 |A|
-# beside a dense A; Picard holds the four n x n blocks, 1.03 |A|, or
+# place, 1.13 |A|, or 2.23 and 2.13 |A| beside a dense A, whose |A| |b|
+# takes a block of rows; Picard holds the four n x n blocks, 1.03 |A|, or
 # 2.03 |A| beside a dense A.  The guard adds ~0.25 |A| to the worst path.
-# The block of columns is a fixed cost of 256 columns, a larger share of
-# a small |A| (1.50 and 2.51 |A| at 16^2 nodes).
+# The block of rows is a fixed cost of 256 rows, a larger share of a small
+# |A| (2.51 |A| at 16^2 nodes).
 _PEAK_PER_A = {True: 1.5, False: 2.5}
 
 
@@ -316,6 +322,8 @@ class _TrialSpace:
     says whether the nodes are the full t-major tensor grid ut x ux.
     Operators are tuples of (coef, dx, dt) terms; a memo dict, where
     given, shares 1-D kernel matrices between the calls of one evaluation.
+    Sums of the trial functions are evaluated on tensor grids only: a
+    single point, as rk.evaluate asks for, is a 1 x 1 grid.
     """
 
     def __init__(self, kernel: TensorKernel, sign: float, nodes: NodeSet):
@@ -379,15 +387,6 @@ class _TrialSpace:
         B[self.it, self.ix] = b
         return B
 
-    def points(self, b, X, T):
-        """sum_j b_j psi_j at the points (X, T) of equal shape."""
-        B = self._coefficient_grid(b)
-        Xf = np.asarray(X, dtype=float).ravel()
-        Tf = np.asarray(T, dtype=float).ravel()
-        vals = sum(((Tm @ B) * Sm).sum(axis=1)
-                   for Sm, Tm in self._factors(Xf, Tf, IDENTITY))
-        return vals.reshape(np.shape(X)) if np.shape(X) else float(vals[0])
-
     def grid(self, b, xs, ts, op=IDENTITY, memo=None):
         """sum_j b_j op psi_j on the tensor grid, t-major (len(ts), len(xs))."""
         B = self._coefficient_grid(b)
@@ -438,30 +437,11 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
     return CollocationSystem(C, nodes, (K1, K2), hom, (state, adjoint), dense=A)
 
 
-# rows or columns of A per block in the passes over A; each pass reuses
-# one block buffer, since a fresh multi-MB block per step is paged in anew
+# rows of a dense A per block in the pass of |A| |b|; the pass reuses one
+# block buffer, since a fresh multi-MB block per step is paged in anew
 _ROW_BLOCK = 256
 # rows of a block per product buffer when a block is built from factor pairs
 _PRODUCT_ROWS = 32
-
-
-def _filled(system):
-    """A in Fortran order, written block by block, and ||A||_1.
-
-    lu_factor copies a C-ordered A whatever overwrite_a says.  The column
-    sums of |A| are taken over blocks of columns, rows of A^T, through one
-    reused buffer.
-    """
-    A = system._matrix(order="F")
-    target = A.T                               # C-contiguous: rows of A^T
-    size = len(target)
-    buffer = np.empty((min(_ROW_BLOCK, size), size))
-    norm_1 = 0.0
-    for i in range(0, size, _ROW_BLOCK):
-        j = min(i + _ROW_BLOCK, size)
-        block = np.abs(target[i:j], out=buffer[:j - i])
-        norm_1 = max(norm_1, block.sum(axis=1).max())
-    return A, float(norm_1)
 
 
 def _round3(cond):
@@ -479,10 +459,10 @@ def solve(system: CollocationSystem) -> "Solution":
     """Solve the collocation system with one LU factorization.
 
     The four blocks of A are written into one Fortran-ordered array and
-    ||A||_1 is taken from it, so on a tensor node set, where A is kept as
-    factor pairs, the solve builds A once and holds one 2n x 2n array.  A is
-    factored in place by LU with partial pivoting; a zero pivot, as a zero
-    row gives, raises NumericallySingular.  The factors solve the system,
+    LAPACK's dlange takes ||A||_1 from it, so on a tensor node set, where A
+    is kept as factor pairs, the solve builds A once and holds one 2n x 2n
+    array.  A is factored in place by LU with partial pivoting; a zero
+    pivot, as a zero row gives, raises NumericallySingular.  The factors solve the system,
     then one step of iterative refinement corrects b.  Every product with
     A, the refinement residual, the final residual and |A| |b|, comes from
     system.matvec.  info["cond"] holds LAPACK gecon's 1-norm condition
@@ -494,7 +474,9 @@ def solve(system: CollocationSystem) -> "Solution":
     """
     import scipy.linalg
 
-    A, norm_1 = _filled(system)
+    # Fortran order: lu_factor copies a C-ordered A whatever overwrite_a says
+    A = system._matrix(order="F")
+    norm_1 = scipy.linalg.lapack.dlange("1", A)
     try:
         with warnings.catch_warnings():
             # an exactly singular matrix warns before we can inspect the
@@ -650,12 +632,14 @@ class Solution:
 
 
 def evaluate(sol: Solution, x: float, t: float):
-    """(y_total, p, u) at a single point of the closed rectangle."""
-    sol._check_domain(x, t)
-    y_h = sol.spaces[0].points(sol.b1, x, t)
-    p = sol.spaces[1].points(sol.b2, x, t)
-    y_tot = y_h + float(np.asarray(sol.hom.y_hat(x, t), dtype=float))
-    return y_tot, p, p / sol.hom.base.nu
+    """(y_total, p, u) as floats at a single point of the closed rectangle.
+
+    They are the [0, 0] entries of sol.evaluate_grid([x], [t]); a
+    non-scalar x or t raises ValueError.
+    """
+    if np.ndim(x) or np.ndim(t):
+        raise ValueError("evaluate takes a single point: x and t must be scalars")
+    return tuple(float(v[0, 0]) for v in sol.evaluate_grid([x], [t]))
 
 
 def exact_grid(exact: ExactSolution, xs, ts):

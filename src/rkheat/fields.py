@@ -1,11 +1,11 @@
 """Scalar fields on the space-time rectangle with derivative access.
 
-A ScalarField wraps a plain callable f(x, t) and, when available, exact
-closures for its mixed partial derivatives.  When a closure is missing the
-derivative falls back to fourth-order central finite differences, which is
-accurate enough for diagnostics and for homogenizing user-supplied data.
-Built-in benchmark fields carry exact closures for every order <= 2 per
-variable.
+A ScalarField wraps a plain callable f(x, t) and exact closures for its
+mixed partial derivatives; asking for a partial it has no closure for
+raises NonDifferentiableData naming the order.  Built-in benchmark fields
+carry exact closures for every order <= 2 per variable.  The 1-D
+fourth-order central differences here serve homogenize, which
+differentiates user-supplied boundary and initial data.
 """
 
 from __future__ import annotations
@@ -15,9 +15,6 @@ import numpy as np
 from .errors import NonDifferentiableData
 
 __all__ = ["ScalarField", "fd_derivative_1d", "require_differentiable_1d"]
-
-# step of the finite-difference fallback in ScalarField.partial
-_FD_STEP = 1e-4
 
 # fourth-order central stencils on points x + k*h, k = -2..2
 _STENCILS = {
@@ -54,7 +51,7 @@ def require_differentiable_1d(f, points, order, h, name="data"):
 
 
 class ScalarField:
-    """Field f(x, t) with exact or finite-difference partial derivatives."""
+    """Field f(x, t) with exact partial derivatives, one closure per order."""
 
     def __init__(self, value, partials=None):
         self._value = value
@@ -64,31 +61,11 @@ class ScalarField:
         return self._value(x, t)
 
     def partial(self, x, t, dx=0, dt=0):
-        """Mixed partial d^dx/dx^dx d^dt/dt^dt f at (x, t)."""
+        """Mixed partial d^dx/dx^dx d^dt/dt^dt f at (x, t), from its closure."""
         if (dx, dt) == (0, 0):
             return self._value(x, t)
         exact = self._partials.get((dx, dt))
-        if exact is not None:
-            return exact(x, t)
-        if dx > 2 or dt > 2:
+        if exact is None:
             raise NonDifferentiableData(
-                f"no exact closure for order ({dx}, {dt}) and the finite-"
-                "difference fallback supports orders up to 2 per variable")
-        h = _FD_STEP
-
-        def fx(xx, tt):
-            if dx == 0:
-                return self._value(xx, tt)
-            return fd_derivative_1d(lambda s: self._value(s, tt), xx, dx, h)
-
-        if dt == 0:
-            return fx(x, t)
-        return fd_derivative_1d(lambda s: fx(x, s), t, dt, h)
-
-    @classmethod
-    def constant(cls, c):
-        return cls(lambda x, t: np.broadcast_to(np.float64(c), np.broadcast_shapes(
-            np.shape(x), np.shape(t))).copy() if (np.shape(x) or np.shape(t)) else float(c),
-            partials={(i, j): (lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))
-                       if (np.shape(x) or np.shape(t)) else 0.0)
-                      for i in range(4) for j in range(4) if (i, j) != (0, 0)})
+                f"field has no closure for the partial of order ({dx}, {dt})")
+        return exact(x, t)

@@ -67,10 +67,5 @@ class GridField:
             raise GridMismatch(
                 f"values shape {self.values.shape} does not match grid {expected}")
 
-    @classmethod
-    def sample(cls, grid: SpaceTimeGrid, f) -> "GridField":
-        X, T = np.meshgrid(grid.xs, grid.ts)
-        return cls(grid, np.asarray(f(X, T), dtype=float))
-
     def same_grid(self, other: "GridField") -> bool:
         return self.grid == other.grid

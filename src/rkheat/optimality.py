@@ -6,31 +6,22 @@ Minimizing J subject to the state equation couples two parabolic problems:
     adjoint:  L2 p = y_d - (y + y_hat),    L2 = +d/dt + d^2/dx^2,
 
 together with the gradient equation nu*u - p = 0.  This module applies the
-operators to differentiable fields, recovers the control from the adjoint,
-and evaluates pointwise residuals of both equations for any candidate pair.
+operators to fields that carry exact (0, 1) and (2, 0) partials and
+evaluates pointwise residuals of both equations for any candidate pair.
+No solve calls it: the collocation module evaluates the same residuals
+from its trial functions, and tests check the two against each other.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .collocation import ADJOINT, FORWARD
 from .errors import OutOfDomain
 from .fields import ScalarField
 from .problems import HomogenizedProblem
 
-__all__ = [
-    "FORWARD",
-    "ADJOINT",
-    "apply_operator",
-    "recover_control",
-    "residual_forward",
-    "residual_adjoint",
-]
-
-# The parabolic operators -d/dt + d^2/dx^2 (forward) and +d/dt + d^2/dx^2
-# (adjoint) differ only in the sign of the time derivative.
-FORWARD = -1.0
-ADJOINT = 1.0
+__all__ = ["apply_operator", "residual_forward", "residual_adjoint"]
 
 
 def _as_field(field) -> ScalarField:
@@ -51,24 +42,16 @@ def _check_interior(point, domain):
 def apply_operator(op: float, field, point, domain=None):
     """(op d/dt + d^2/dx^2) field at point = (x, t), op FORWARD or ADJOINT.
 
-    field is a ScalarField or a plain callable f(x, t); plain callables get
-    finite-difference derivatives.  domain, when given as ((a, b), T),
-    restricts the point to the interior.
+    field is a ScalarField; a plain callable f(x, t) carries no partials,
+    so it raises NonDifferentiableData, as a field without the (0, 1) or
+    (2, 0) closure does.  domain, when given as ((a, b), T), restricts the
+    point to the interior.
     """
     if domain is not None:
         _check_interior(point, domain)
     f = _as_field(field)
     x, t = point
     return op * f.partial(x, t, 0, 1) + f.partial(x, t, 2, 0)
-
-
-def recover_control(p, nu: float):
-    """Gradient equation: u = p / nu."""
-    if nu <= 0:
-        raise ValueError("need nu > 0")
-    if isinstance(p, ScalarField):
-        return ScalarField(lambda x, t: p(x, t) / nu)
-    return lambda x, t: p(x, t) / nu
 
 
 def residual_forward(y, p, hom: HomogenizedProblem, point):

@@ -204,8 +204,8 @@ def derive_yd(exact: ExactSolution):
     """Target data consistent with the adjoint equation:
     y_d = p_t + p_xx + y.
 
-    Uses the exact derivative closures when the pair carries them and
-    falls back to fourth-order finite differences otherwise.
+    Uses p's exact (0, 1) and (2, 0) closures; y_d raises
+    NonDifferentiableData when p lacks one.
     """
     p, y = exact.p_exact, exact.y_exact
 

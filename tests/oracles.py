@@ -25,6 +25,10 @@ condition estimate.
 fd_sparse_system assembles the finite-difference reference's whole
 Crank-Nicolson system as one sparse matrix, the form the sine-mode solve
 must satisfy.
+fd_field, constant_field, sample_grid and recover_control build the
+fields and grid samples that tests feed the library: a field whose
+partials are finite differences of its values, a constant field, a
+function sampled on a SpaceTimeGrid and the control u = p / nu.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
 from rkheat.errors import SingularConditionSystem
+from rkheat.fields import ScalarField, fd_derivative_1d
+from rkheat.grids import GridField
 from rkheat.kernels import SpaceSpec, TensorKernel
 
 GAUSS_N = 24
@@ -415,3 +421,47 @@ def fd_sparse_system(problem, grid):
 def fd_unknowns(fd):
     """The FD solution's unknowns in fd_sparse_system's order."""
     return np.concatenate([fd.y.values[1:, 1:-1].ravel(), fd.p.values[:-1, 1:-1].ravel()])
+
+
+def fd_field(value, h=1e-4):
+    """ScalarField of value whose partials of order <= 2 per variable are
+    nested fourth-order central differences with step h."""
+    def partial(dx, dt):
+        def fx(xx, tt):
+            if dx == 0:
+                return value(xx, tt)
+            return fd_derivative_1d(lambda s: value(s, tt), xx, dx, h)
+
+        def f(x, t):
+            if dt == 0:
+                return fx(x, t)
+            return fd_derivative_1d(lambda s: fx(x, s), t, dt, h)
+        return f
+
+    return ScalarField(value, {(dx, dt): partial(dx, dt) for dx in range(3)
+                               for dt in range(3) if (dx, dt) != (0, 0)})
+
+
+def constant_field(c):
+    """ScalarField of the constant c; its partials of order <= 3 per
+    variable are 0.  Values take the broadcast shape of x and t."""
+    def fill(v):
+        return lambda x, t: (np.full(np.broadcast_shapes(np.shape(x), np.shape(t)), v)
+                             if np.shape(x) or np.shape(t) else v)
+    return ScalarField(fill(float(c)), {(i, j): fill(0.0) for i in range(4)
+                                        for j in range(4) if (i, j) != (0, 0)})
+
+
+def sample_grid(grid, f):
+    """GridField of f(x, t) on the grid, t-major."""
+    X, T = np.meshgrid(grid.xs, grid.ts)
+    return GridField(grid, np.asarray(f(X, T), dtype=float))
+
+
+def recover_control(p, nu: float):
+    """Gradient equation: u = p / nu."""
+    if nu <= 0:
+        raise ValueError("need nu > 0")
+    if isinstance(p, ScalarField):
+        return ScalarField(lambda x, t: p(x, t) / nu)
+    return lambda x, t: p(x, t) / nu

@@ -480,6 +480,24 @@ class TestEvaluate:
             sol.evaluate_grid(np.array([0.5]), np.array([-0.2]))
 
     @pytest.mark.parametrize("layout", ["grid", "jittered"])
+    def test_point_is_a_one_by_one_grid(self, layout, ex1_case, unit_kernels):
+        # at the rectangle's corners and 46 seeded points, bitwise
+        _, _, hom = ex1_case
+        sol = rk.solve(rk.assemble(hom, node_layout(layout, 8), unit_kernels))
+        points = np.vstack([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+                            np.random.default_rng(11).uniform(0.0, 1.0, (46, 2))])
+        for x, t in points:
+            got = rk.evaluate(sol, x, t)
+            assert all(type(v) is float for v in got)
+            assert got == tuple(v[0, 0] for v in sol.evaluate_grid([x], [t]))
+
+    @pytest.mark.parametrize("x, t", [([0.5], 0.5), (0.5, np.array([0.2, 0.3])),
+                                      (np.array([[0.5]]), 0.5)])
+    def test_non_scalar_point_raises(self, x, t, ex1_solution_8):
+        with pytest.raises(ValueError, match="scalars"):
+            rk.evaluate(ex1_solution_8[0], x, t)
+
+    @pytest.mark.parametrize("layout", ["grid", "jittered"])
     def test_grid_matches_pointwise(self, layout, ex1_case, unit_kernels):
         _, _, hom = ex1_case
         sol = rk.solve(rk.assemble(hom, node_layout(layout, 8), unit_kernels))

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import rkheat as rk
-from oracles import fd_sparse_system, fd_unknowns
+from oracles import fd_sparse_system, fd_unknowns, sample_grid
 
 
 def unit_grid(n):
@@ -170,14 +170,14 @@ class TestErrorVsExact:
     def test_sampled_field_zero_error(self):
         _, exact = rk.builtin_example(1, nu=1e-2)
         grid = unit_grid(9)
-        field = rk.GridField.sample(grid, lambda x, t: np.asarray(
+        field = sample_grid(grid, lambda x, t: np.asarray(
             exact.y_exact(x, t), dtype=float))
         res = rk.error_vs_exact(field, exact.y_exact)
         assert res["linf"] == 0.0 and res["l2"] == 0.0
 
     def test_constant_offset(self):
         grid = unit_grid(9)
-        field = rk.GridField.sample(grid, lambda x, t: 1.0 + 0.0 * np.asarray(x))
+        field = sample_grid(grid, lambda x, t: 1.0 + 0.0 * np.asarray(x))
         res = rk.error_vs_exact(field, lambda x, t: 0.0 * np.asarray(x))
         assert res["linf"] == pytest.approx(1.0)
         assert res["l2"] == pytest.approx(1.0, rel=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import rkheat as rk
-from oracles import gauss_panel
+from oracles import constant_field, fd_field, gauss_panel, recover_control
 
 
 def product_field(fx, ft, dfx=None, d2fx=None, dft=None):
@@ -27,12 +27,12 @@ class TestApplyOperator:
         assert got == pytest.approx(0.85, abs=1e-12)
 
     def test_constant_field(self):
-        c = rk.ScalarField.constant(3.7)
+        c = constant_field(3.7)
         for op in (rk.FORWARD, rk.ADJOINT):
             assert rk.apply_operator(op, c, (0.4, 0.6)) == pytest.approx(0.0, abs=1e-10)
 
     def test_time_terms_cancel(self, rng):
-        f = product_field(lambda x: np.sin(3 * x), lambda t: np.exp(t))
+        f = fd_field(lambda x, t: np.sin(3 * x) * np.exp(t))
         for _ in range(5):
             pt = (float(rng.uniform(0.1, 0.9)), float(rng.uniform(0.1, 0.9)))
             both = (rk.apply_operator(rk.FORWARD, f, pt)
@@ -41,48 +41,49 @@ class TestApplyOperator:
             assert both == pytest.approx(2 * f2, rel=1e-6, abs=1e-6)
 
     def test_interior_check(self):
-        f = rk.ScalarField.constant(1.0)
+        f = constant_field(1.0)
         with pytest.raises(rk.OutOfDomain):
             rk.apply_operator(rk.FORWARD, f, (0.0, 0.5), domain=((0.0, 1.0), 1.0))
 
-    def test_plain_callable_accepted(self):
-        got = rk.apply_operator(rk.FORWARD, lambda x, t: x * (x - 1) * t, (0.5, 0.3))
-        assert got == pytest.approx(0.85, abs=1e-6)
+    def test_plain_callable_rejected(self):
+        # a plain callable carries no partials; the first one asked for is named
+        with pytest.raises(rk.NonDifferentiableData, match=r"\(0, 1\)"):
+            rk.apply_operator(rk.FORWARD, lambda x, t: x * (x - 1) * t, (0.5, 0.3))
 
 
 class TestRecoverControl:
     def test_zero(self):
-        u = rk.recover_control(lambda x, t: 0.0, 0.5)
+        u = recover_control(lambda x, t: 0.0, 0.5)
         assert u(0.3, 0.3) == 0.0
 
     def test_ratio(self):
-        u = rk.recover_control(lambda x, t: 2.0, 0.5)
+        u = recover_control(lambda x, t: 2.0, 0.5)
         assert u(0.1, 0.9) == pytest.approx(4.0, rel=1e-15)
 
     def test_example1_pin(self):
         _, exact = rk.builtin_example(1, nu=1e-6)
-        u = rk.recover_control(exact.p_exact, 1e-6)
+        u = recover_control(exact.p_exact, 1e-6)
         assert u(0.5, 0.5) == pytest.approx(0.046875, rel=1e-12)
 
     def test_idempotence(self, rng):
         nu = 0.37
         p = lambda x, t: np.sin(x) * np.cos(t)
-        u1 = rk.recover_control(p, nu)
-        u2 = rk.recover_control(lambda x, t: u1(x, t) * nu, nu)
+        u1 = recover_control(p, nu)
+        u2 = recover_control(lambda x, t: u1(x, t) * nu, nu)
         for _ in range(10):
             pt = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
             assert u1(*pt) == u2(*pt)
 
     def test_invalid_nu(self):
         with pytest.raises(ValueError):
-            rk.recover_control(lambda x, t: 0.0, 0.0)
+            recover_control(lambda x, t: 0.0, 0.0)
 
 
 class TestResiduals:
     def test_zero_pair_zero_data(self):
         problem, _ = rk.builtin_example(1, nu=1e-2)
         hom = rk.homogenize(problem)
-        z = rk.ScalarField.constant(0.0)
+        z = constant_field(0.0)
         # G1 = 0 for the built-ins, so the zero pair solves the forward
         # equation identically.
         assert rk.residual_forward(z, z, hom, (0.3, 0.4)) == pytest.approx(0.0, abs=1e-12)
@@ -102,7 +103,7 @@ class TestResiduals:
         problem, exact = rk.builtin_example(1, nu=1e-2)
         hom = rk.homogenize(problem)
         pt = (0.41, 0.59)
-        z = rk.ScalarField.constant(0.0)
+        z = constant_field(0.0)
 
         def rf(scale):
             y = rk.ScalarField(lambda x, t: scale * exact.y_exact(x, t),
@@ -145,7 +146,7 @@ class TestResiduals:
         # y = y_d and constant p: L2 p = 0 and the tracking gap vanishes,
         # so the residual is exactly the constant's contribution: zero.
         y = rk.ScalarField(lambda x, t: np.asarray(problem.y_d(x, t), dtype=float))
-        p = rk.ScalarField.constant(4.2)
+        p = constant_field(4.2)
         got = rk.residual_adjoint(y, p, hom, (0.3, 0.7))
         assert got == pytest.approx(0.0, abs=1e-6)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rkheat as rk
+from oracles import sample_grid
 
 
 def zero_t(t):
@@ -195,12 +196,24 @@ class TestBuiltinExamples:
                                 <= 1e-3 * np.abs(got).max()), (example_id, dx, dt)
 
 
+class TestScalarField:
+    def test_partial_without_closure_raises(self):
+        field = rk.ScalarField(lambda x, t: x * t)
+        assert field.partial(0.4, 0.6) == pytest.approx(0.24)
+        for dx in range(3):
+            for dt in range(3):
+                if (dx, dt) != (0, 0):
+                    with pytest.raises(rk.NonDifferentiableData,
+                                       match=rf"\({dx}, {dt}\)"):
+                        field.partial(0.4, 0.6, dx, dt)
+
+
 class TestDeriveYd:
     def test_zero_solution(self):
-        exact = rk.ExactSolution(
-            y_exact=rk.ScalarField(lambda x, t: 0.0 * np.asarray(x) * np.asarray(t)),
-            p_exact=rk.ScalarField(lambda x, t: 0.0 * np.asarray(x) * np.asarray(t)),
-            u_exact=lambda x, t: 0.0 * np.asarray(x) * np.asarray(t))
+        def zero(x, t):
+            return 0.0 * np.asarray(x) * np.asarray(t)
+        field = rk.ScalarField(zero, {(0, 1): zero, (2, 0): zero})
+        exact = rk.ExactSolution(y_exact=field, p_exact=field, u_exact=zero)
         y_d = rk.derive_yd(exact)
         assert abs(float(y_d(0.4, 0.6))) <= 1e-12
 
@@ -245,7 +258,7 @@ class TestConsistencyReport:
 class TestCostFunctional:
     def grid_fields(self, y_fun, u_fun, n=60):
         grid = rk.SpaceTimeGrid(n_x=n, n_t=n, interval=(0.0, 1.0), horizon=1.0)
-        return (rk.GridField.sample(grid, y_fun), rk.GridField.sample(grid, u_fun))
+        return (sample_grid(grid, y_fun), sample_grid(grid, u_fun))
 
     def test_perfect_tracking(self):
         prob = make_problem()

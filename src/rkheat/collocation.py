@@ -26,8 +26,8 @@ those matrices, and the system keeps that form instead of the dense
 matrix: products with A come from the factor pairs, and the solve
 builds A once, to factor it.  All second-argument derivatives are exact (implicit
 differentiation in the kernel module); no finite differences enter the
-matrix.  Only the LU step needs scipy: solve and solve_picard import
-scipy.linalg on first use, so importing rkheat does not load it.
+matrix.  Only the LU step needs scipy: it imports scipy.linalg on first
+use, so importing rkheat does not load it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +183,6 @@ class CollocationSystem:
 
     C: np.ndarray
     node_set: NodeSet
-    kernels: tuple[TensorKernel, TensorKernel]
     hom: HomogenizedProblem
     spaces: tuple[_TrialSpace, _TrialSpace]
     dense: np.ndarray | None = None
@@ -261,11 +259,12 @@ def standard_kernels(interval, horizon):
 # Peak bytes of a solve as a multiple of |A| = (2n)^2 * 8 B, keyed on
 # whether A is kept as factor pairs (tensor node sets).  Tracemalloc of
 # example 2 at 24^2 and 32^2 nodes: the direct solve holds A, factored in
-# place, 1.13 |A|, or 2.23 and 2.13 |A| beside a dense A, whose |A| |b|
-# takes a block of rows; Picard holds the four n x n blocks, 1.03 |A|, or
-# 2.03 |A| beside a dense A.  The guard adds ~0.25 |A| to the worst path.
-# The block of rows is a fixed cost of 256 rows, a larger share of a small
-# |A| (2.51 |A| at 16^2 nodes).
+# place, 1.03 and 1.01 |A|, or 2.23 and 2.13 |A| beside a dense A, whose
+# |A| |b| takes a block of rows; Picard holds the four n x n blocks, 1.02
+# and 1.01 |A|, or 2.00 |A| beside a dense A.  The guard adds ~0.25 |A|
+# or more to the worst path.  Writing A's blocks and the block of 256 rows
+# are fixed costs, a larger share of a small |A| (1.13 and 2.51 |A| at
+# 16^2 nodes).
 _PEAK_PER_A = {True: 1.5, False: 2.5}
 
 
@@ -421,20 +420,22 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
     # -(1/nu) psi_j2, scaled once after the sum rather than per 1-D factor:
     # at cond ~1e13 a last-bit change in A moves b by ~1e-8
     scale = -1.0 / base.nu
+    if not np.isfinite(scale):
+        raise ValueError(f"nu = {base.nu!r} is too small: -1/nu overflows")
     if state.tensor:
         memo = {}
         pairs = [[state.pairs(L1, memo), adjoint.pairs(IDENTITY, memo)],
                  [state.pairs(IDENTITY, memo), adjoint.pairs(L2, memo)]]
         factors = _KroneckerBlocks(pairs, [[1.0, scale], [1.0, 1.0]],
                                    len(state.ut), len(state.ux))
-        return CollocationSystem(C, nodes, (K1, K2), hom, (state, adjoint), factors=factors)
+        return CollocationSystem(C, nodes, hom, (state, adjoint), factors=factors)
     A = np.zeros((2 * n, 2 * n))
     state.assemble(L1, A[:n, :n])
     adjoint.assemble(IDENTITY, A[:n, n:])
     A[:n, n:] *= scale
     state.assemble(IDENTITY, A[n:, :n])
     adjoint.assemble(L2, A[n:, n:])
-    return CollocationSystem(C, nodes, (K1, K2), hom, (state, adjoint), dense=A)
+    return CollocationSystem(C, nodes, hom, (state, adjoint), dense=A)
 
 
 # rows of a dense A per block in the pass of |A| |b|; the pass reuses one
@@ -455,14 +456,37 @@ def _round3(cond):
     return float(f"{cond:.3g}") if np.isfinite(cond) else np.inf
 
 
+def _lu_in_place(M: np.ndarray, name: str):
+    """Factor the Fortran-ordered M in place by LU with partial pivoting.
+
+    LAPACK is called directly, without the boolean mask of M that
+    scipy's LU wrapper builds.  An inf or NaN in M, on which LAPACK may
+    not terminate, shows as a non-finite ||M||_1; it and a zero pivot, as
+    a zero row gives, raise NumericallySingular.  Returns the factors (M
+    itself), the pivots, ||M||_1, getrs and gecon.
+    """
+    import scipy.linalg
+
+    getrf, getrs, gecon, lange = scipy.linalg.get_lapack_funcs(
+        ("getrf", "getrs", "gecon", "lange"), (M,))
+    norm_1 = lange("1", M)
+    if not np.isfinite(norm_1):
+        raise NumericallySingular(f"{name} is not finite: its 1-norm is {norm_1}")
+    lu, piv, info = getrf(M, overwrite_a=True)
+    if info > 0:
+        raise NumericallySingular(f"LU factorization of {name} hit an exactly zero "
+                                  f"pivot in row {info} of {len(M)}")
+    return lu, piv, norm_1, getrs, gecon
+
+
 def solve(system: CollocationSystem) -> "Solution":
     """Solve the collocation system with one LU factorization.
 
-    The four blocks of A are written into one Fortran-ordered array and
-    LAPACK's dlange takes ||A||_1 from it, so on a tensor node set, where A
-    is kept as factor pairs, the solve builds A once and holds one 2n x 2n
-    array.  A is factored in place by LU with partial pivoting; a zero
-    pivot, as a zero row gives, raises NumericallySingular.  The factors solve the system,
+    The four blocks of A are written into one Fortran-ordered array, so on
+    a tensor node set, where A is kept as factor pairs, the solve builds A
+    once and holds one 2n x 2n array.  _lu_in_place takes ||A||_1 and
+    factors A in place; a non-finite A or a zero pivot raises
+    NumericallySingular.  LAPACK getrs solves the system with the factors,
     then one step of iterative refinement corrects b.  Every product with
     A, the refinement residual, the final residual and |A| |b|, comes from
     system.matvec.  info["cond"] holds LAPACK gecon's 1-norm condition
@@ -472,29 +496,13 @@ def solve(system: CollocationSystem) -> "Solution":
     0 on rows where the denominator is 0, and the refinement change
     ||db||_inf / ||b||_inf.
     """
-    import scipy.linalg
-
-    # Fortran order: lu_factor copies a C-ordered A whatever overwrite_a says
-    A = system._matrix(order="F")
-    norm_1 = scipy.linalg.lapack.dlange("1", A)
-    try:
-        with warnings.catch_warnings():
-            # an exactly singular matrix warns before we can inspect the
-            # pivots; the zero-pivot check below turns it into an error
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            factors = scipy.linalg.lu_factor(A, overwrite_a=True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericallySingular(f"LU factorization failed: {exc}") from exc
-    del A                            # overwritten by its factors
-    lu = factors[0]
-    if np.abs(np.diag(lu)).min() == 0.0:
-        raise NumericallySingular("LU factorization hit an exactly zero pivot")
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, norm_1, norm="1")
+    lu, piv, norm_1, getrs, gecon = _lu_in_place(system._matrix(order="F"), "A")
+    rcond, _ = gecon(lu, norm_1, norm="1")
     cond = _round3(1.0 / rcond) if rcond > 0 else np.inf
 
     C = system.C
-    b = scipy.linalg.lu_solve(factors, C)
-    db = scipy.linalg.lu_solve(factors, C - system.matvec(b))
+    b, _ = getrs(lu, piv, C)
+    db, _ = getrs(lu, piv, C - system.matvec(b), overwrite_b=True)
     b = b + db
     if not np.isfinite(b).all():
         raise NumericallySingular("solution vector is not finite")
@@ -512,7 +520,7 @@ def solve(system: CollocationSystem) -> "Solution":
                    "refinement_change": float(np.abs(db).max()) / b_max if b_max else 0.0},
     }
     return Solution(b1=b[:n], b2=b[n:], node_set=system.node_set,
-                    kernels=system.kernels, hom=system.hom, info=info, spaces=system.spaces)
+                    hom=system.hom, info=info, spaces=system.spaces)
 
 
 def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 200):
@@ -521,24 +529,17 @@ def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 
     Both right-hand sides are evaluated on the previous iterate, so each
     sweep solves the state block and the adjoint block independently.  The
     iteration converges only when the coupling 1/nu is weak enough; the
-    returned PicardInfo says whether the tolerance was met.
+    returned PicardInfo says whether the tolerance was met.  The diagonal
+    blocks are factored as solve factors A, and each sweep calls getrs.
     """
-    import scipy.linalg
-
     n = len(system.node_set)
     # the diagonal blocks are factored in place, so they are written in
     # Fortran order; the off-diagonal ones serve row-major products
     A11, A22 = (system._block(p, p, np.empty((n, n), order="F")) for p in (0, 1))
     A12, A21 = (system._block(p, 1 - p, np.empty((n, n))) for p in (0, 1))
     C1, C2 = system.C[:n], system.C[n:]
-    try:
-        lu1, piv1 = scipy.linalg.lu_factor(A11, overwrite_a=True)
-        lu2, piv2 = scipy.linalg.lu_factor(A22, overwrite_a=True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericallySingular(f"diagonal block factorization failed: {exc}") from exc
-    # LAPACK's getrs itself, as lu_solve calls it, without lu_solve's
-    # per-call checks: a sweep is only two n x n triangular pairs
-    getrs, = scipy.linalg.get_lapack_funcs(("getrs",), (lu1, lu2))
+    lu1, piv1, _, getrs, _ = _lu_in_place(A11, "block A11")
+    lu2, piv2, *_ = _lu_in_place(A22, "block A22")
     b1 = np.zeros(n)
     b2 = np.zeros(n)
     converged = False
@@ -564,8 +565,7 @@ def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 
         raise NumericallySingular("picard iteration produced non-finite coefficients")
     info = PicardInfo(converged=converged, iterations=iterations,
                       last_change=float(change), tol=tol, max_iter=max_iter)
-    sol = Solution(b1=b1, b2=b2, node_set=system.node_set,
-                   kernels=system.kernels, hom=system.hom,
+    sol = Solution(b1=b1, b2=b2, node_set=system.node_set, hom=system.hom,
                    info={"picard": dataclasses.asdict(info)}, spaces=system.spaces)
     return sol, info
 
@@ -581,7 +581,6 @@ class Solution:
     b1: np.ndarray
     b2: np.ndarray
     node_set: NodeSet
-    kernels: tuple[TensorKernel, TensorKernel]
     hom: HomogenizedProblem
     info: dict
     spaces: tuple[_TrialSpace, _TrialSpace]

@@ -248,6 +248,16 @@ class TestFailureModes:
         assert err["error"] == "ValueError"
         assert "y_d - y_hat is not finite at 4 of 16 nodes" in err["reason"]
 
+    @pytest.mark.parametrize("mode_args", [[], ["--mode", "picard"]], ids=["direct", "picard"])
+    def test_nu_whose_reciprocal_overflows_named(self, tmp_path, capsys, mode_args):
+        rc = cli.main(SOLVE_ARGS + mode_args + ["--nu", "1e-309", "--out", str(tmp_path)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["reason"] == "nu = 1e-309 is too small: -1/nu overflows"
+
     def test_size_over_physical_memory_refused(self, tmp_path, capsys, monkeypatch):
         # 4x4 nodes: 1.5 * 32^2 * 8 B = 12 KB estimated against an 8 KB budget
         monkeypatch.setattr(collocation, "_physical_memory", lambda: 2 ** 13)

@@ -112,6 +112,12 @@ class TestAssemble:
         with pytest.raises(rk.KernelDomainMismatch):
             rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), bad)
 
+    def test_nu_whose_reciprocal_overflows_rejected(self, unit_kernels):
+        # -1/nu is -inf below 1/float_info.max ~ 5.6e-309
+        problem, _ = rk.builtin_example(2, nu=1e-309)
+        with pytest.raises(ValueError, match="nu = 1e-309 is too small: -1/nu overflows"):
+            rk.assemble(rk.homogenize(problem), rk.generate_nodes(2, 2, UNIT), unit_kernels)
+
     def test_footprint_over_physical_memory_refused(self, ex1_case, unit_kernels,
                                                     monkeypatch):
         _, _, hom = ex1_case
@@ -125,7 +131,7 @@ class TestAssemble:
     @pytest.mark.parametrize("layout, per_a", [("grid", 1.5), ("jittered", 2.5)])
     def test_footprint_estimate_per_representation(self, layout, per_a, ex1_case,
                                                    unit_kernels, monkeypatch):
-        # the worst path is the direct solve, 1.2 |A| from factor pairs and
+        # the worst path is the direct solve, ~1.0 |A| from factor pairs and
         # 2.2 |A| beside a dense A, each with a margin
         _, _, hom = ex1_case
         nodes = node_layout(layout, 2)
@@ -342,13 +348,19 @@ class TestSolve:
     def test_one_lu_per_solve(self, ex1_solution_8, monkeypatch):
         _, system = ex1_solution_8
         calls = []
-        lu_factor = scipy.linalg.lu_factor
+        get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return lu_factor(*args, **kwargs)
+        def counting(names, arrays=()):
+            funcs = get_lapack_funcs(names, arrays)
+            getrf = funcs[names.index("getrf")]
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+            def counted(a, **kwargs):
+                calls.append(a.shape)
+                return getrf(a, **kwargs)
+
+            return tuple(counted if f is getrf else f for f in funcs)
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
         rk.solve(system)
         assert calls == [system.A.shape]
 
@@ -376,10 +388,11 @@ class TestSolve:
         sol.evaluate_grid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 4))
         assert len(calls) == 3
 
-    def test_extra_memory_below_one_and_a_third_matrices(self):
-        # A, factored in place, plus a block of columns or lu_factor's
-        # finiteness mask; a second LU, an LU copy or a dense A beside it
-        # makes it 2 |A|
+    def test_extra_memory_below_one_and_a_tenth_matrices(self):
+        # A, factored in place, plus the buffers that write its blocks; a
+        # (2n)^2 boolean mask, as lu_factor's finiteness check builds,
+        # makes it 1.125 |A|, and a second LU, an LU copy or a dense A
+        # beside it makes it 2 |A|
         _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
         tracemalloc.start()
         try:
@@ -387,11 +400,11 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * system.A.nbytes
+        assert peak <= 1.1 * system.A.nbytes
 
     def test_picard_memory_below_one_and_a_tenth_matrices(self):
-        # the four n x n blocks, the diagonal ones factored in place, plus
-        # lu_factor's finiteness mask; a whole A beside them makes it 1.5 |A|
+        # the four n x n blocks, the diagonal ones factored in place; a
+        # whole A beside them makes it 1.5 |A|
         _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
         tracemalloc.start()
         try:
@@ -402,7 +415,8 @@ class TestSolve:
         assert peak <= 1.1 * system.C.size ** 2 * 8
 
     def test_assemble_and_solve_below_one_and_a_third_matrices(self):
-        # counting everything: the factor pairs, then A and a block of columns
+        # counting everything: the factor pairs, then A and the buffers
+        # that write its blocks
         problem, _ = rk.builtin_example(2, nu=1e-2)
         hom = rk.homogenize(problem)
         kernels = rk.standard_kernels(problem.interval, problem.T)
@@ -426,7 +440,8 @@ class TestSolve:
         _, _, hom = ex1_case
         system = rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), unit_kernels)
         system = dense_backed(system, np.zeros_like(system.A))
-        with pytest.raises(rk.NumericallySingular):
+        with pytest.raises(rk.NumericallySingular,
+                           match="LU factorization of A hit an exactly zero pivot in row 1 of 8"):
             rk.solve(system)
 
     def test_singular_matrix_raises(self, ex1_case, unit_kernels):
@@ -435,8 +450,19 @@ class TestSolve:
         A = system.A.copy()
         A[3] = A[2]                      # exact rank deficiency
         system = dense_backed(system, A)
-        with pytest.raises(rk.NumericallySingular):
+        with pytest.raises(rk.NumericallySingular,
+                           match="LU factorization of A hit an exactly zero pivot in row 8 of 8"):
             rk.solve(system)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_raises(self, value, ex1_case, unit_kernels):
+        # caught by the 1-norm before LAPACK factors the matrix
+        _, _, hom = ex1_case
+        system = rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), unit_kernels)
+        A = system.A.copy()
+        A[5, 2] = value
+        with pytest.raises(rk.NumericallySingular, match=f"A is not finite: its 1-norm is {value}"):
+            rk.solve(dense_backed(system, A))
 
     def test_determinism_bitwise(self, ex1_case, unit_kernels):
         _, _, hom = ex1_case
@@ -581,7 +607,7 @@ class TestEvaluate:
                  id="evaluate_grid"),
     pytest.param(lambda sol: sol.residuals([0.5], [0.2, np.nan]), rk.OutOfDomain,
                  id="residuals"),
-    pytest.param(lambda sol: rk.kernel_matrix(sol.kernels[0].spatial, [np.nan], [0.5]),
+    pytest.param(lambda sol: rk.kernel_matrix(sol.spaces[0].kernel.spatial, [np.nan], [0.5]),
                  rk.OutOfDomain, id="kernel_matrix"),
     pytest.param(lambda sol: rk.NodeSet(nodes=np.array([[0.5, 0.5], [np.nan, 0.5]]),
                                         generation={}), ValueError, id="NodeSet"),
@@ -629,6 +655,18 @@ class TestErrorNorms:
 
 
 class TestPicard:
+    @pytest.mark.parametrize("p, value, message", [
+        (0, 0.0, "LU factorization of block A11 hit an exactly zero pivot in row 1 of 4"),
+        (1, np.nan, "block A22 is not finite: its 1-norm is nan"),
+    ], ids=["zero-A11", "nan-A22"])
+    def test_diagonal_block_checked_as_a(self, p, value, message, ex1_case, unit_kernels):
+        _, _, hom = ex1_case
+        system = rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), unit_kernels)
+        A = system.A.copy()
+        A[4 * p:4 * p + 4, 4 * p] = value
+        with pytest.raises(rk.NumericallySingular, match=message):
+            rk.solve_picard(dense_backed(system, A))
+
     def test_agrees_at_weak_coupling(self):
         _, _, _, system, direct, _ = solve_example(1, 0.1, 8, 8)
         pic, info = rk.solve_picard(system)

@@ -44,7 +44,7 @@ def main():
     print("     pair, which does not satisfy the adjoint boundary condition.")
 
     conv = rk.self_convergence(problem, n_base=16)
-    print(f"\nFinite-difference self-convergence (16 -> 32 -> 64 per axis):")
+    print(f"\nFinite-difference self-convergence (16 -> 32 -> 64 intervals per axis):")
     print(f"  observed order in y: {conv['order_y']:.2f}   "
           f"in p: {conv['order_p']:.2f}   (Crank-Nicolson is second order)")
 

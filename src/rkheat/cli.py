@@ -149,10 +149,8 @@ def _run_pipeline(cfg: RunConfig):
 
 def _heldout_residuals(sol, problem, n_x: int, n_t: int) -> dict:
     """Residual maxima on a midpoint grid offset from the nodes."""
-    (a, b), T = problem.interval, problem.T
-    xs = a + (np.arange(1, n_x + 2) - 0.5) * (b - a) / (n_x + 1)
-    ts = (np.arange(1, n_t + 2) - 0.5) * T / (n_t + 1)
-    forward, adjoint = sol.residuals(xs, ts)
+    grid = generate_nodes(n_x + 1, n_t + 1, (problem.interval, problem.T))
+    forward, adjoint = sol.residuals(grid.ux, grid.ut)
     return {"forward_max": float(np.abs(forward).max()),
             "adjoint_max": float(np.abs(adjoint).max())}
 

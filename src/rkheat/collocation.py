@@ -32,7 +32,6 @@ use, so importing rkheat does not load it.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import os
 from dataclasses import dataclass
@@ -69,21 +68,41 @@ ADJOINT = 1.0
 L1 = ((FORWARD, 0, 1), (1.0, 2, 0))
 L2 = ((ADJOINT, 0, 1), (1.0, 2, 0))
 IDENTITY = ((1.0, 0, 0),)
+# block (p, q) of A applies _OPS[p][q] to field q's trial functions
+_OPS = ((L1, IDENTITY), (IDENTITY, L2))
 
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Ordered collocation nodes with the descriptor that generated them."""
+    """Ordered collocation nodes with the descriptor that generated them.
+
+    ux and ut are the distinct x and t coordinates, ix and it each node's
+    index into them, and tensor says whether the nodes are the full t-major
+    tensor grid ut x ux, node r at (ux[r % len(ux)], ut[r // len(ux)]).
+    """
 
     nodes: np.ndarray            # shape (n, 2), columns x, t
     generation: dict
+    ux: np.ndarray = dataclasses.field(init=False, repr=False)
+    ut: np.ndarray = dataclasses.field(init=False, repr=False)
+    ix: np.ndarray = dataclasses.field(init=False, repr=False)
+    it: np.ndarray = dataclasses.field(init=False, repr=False)
+    tensor: bool = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
+        if np.ndim(self.nodes) != 2 or np.shape(self.nodes)[1] != 2:
+            raise ValueError(f"collocation nodes must be an (n, 2) array of x, t "
+                             f"pairs, got shape {np.shape(self.nodes)}")
         if not np.isfinite(self.nodes).all():
             raise ValueError("collocation nodes must be finite")
-        pts = {(float(x), float(t)) for x, t in self.nodes}
-        if len(pts) != len(self.nodes):
+        ux, ix = np.unique(self.nodes[:, 0], return_inverse=True)
+        ut, it = np.unique(self.nodes[:, 1], return_inverse=True)
+        flat = it * len(ux) + ix
+        if len(np.unique(flat)) != len(flat):
             raise ValueError("collocation nodes must be pairwise distinct")
+        tensor = np.array_equal(flat, np.arange(len(ut) * len(ux)))
+        for name, value in dict(ux=ux, ut=ut, ix=ix, it=it, tensor=tensor).items():
+            object.__setattr__(self, name, value)
 
     def __len__(self):
         return len(self.nodes)
@@ -95,8 +114,9 @@ def generate_nodes(n_x: int, n_t: int, domain) -> NodeSet:
     domain = ((a, b), T).  Points x_i = a + (i - 1/2)(b - a)/n_x and
     t_k = (k - 1/2) T / n_t are strictly interior by construction.
     """
-    if n_x < 1 or n_t < 1:
-        raise ValueError("need n_x, n_t >= 1")
+    for name, count in (("n_x", n_x), ("n_t", n_t)):
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"need an integer {name} >= 1, got {count!r}")
     (a, b), T = domain
     xs = a + (np.arange(1, n_x + 1) - 0.5) * (b - a) / n_x
     ts = (np.arange(1, n_t + 1) - 0.5) * T / n_t
@@ -315,39 +335,20 @@ class _TrialSpace:
 
     sign is the time sign of the field's operator (FORWARD for the state,
     ADJOINT for the adjoint).  The node set's distinct x and t coordinates
-    ux, ut carry the 1-D kernel columns; the inverse indices ix, it map
-    each node back to them.  The kernels' pieces on ux and ut are solved
-    once here and serve every later kernel matrix of the space.  tensor
-    says whether the nodes are the full t-major tensor grid ut x ux.
-    Operators are tuples of (coef, dx, dt) terms; a memo dict, where
-    given, shares 1-D kernel matrices between the calls of one evaluation.
-    Sums of the trial functions are evaluated on tensor grids only: a
-    single point, as rk.evaluate asks for, is a 1 x 1 grid.
+    ux, ut carry the 1-D kernel columns; its indices ix, it map each node
+    back to them.  px are the spatial kernel's pieces on ux, which assemble
+    solves once for both fields; the temporal pieces on ut are solved here.
+    Both serve every later kernel matrix of the space.  Operators are
+    tuples of (coef, dx, dt) terms; a memo dict, where given, shares 1-D
+    kernel matrices between the calls of one evaluation.  Sums of the
+    trial functions are evaluated on tensor grids only: a single point, as
+    rk.evaluate asks for, is a 1 x 1 grid.
     """
 
-    def __init__(self, kernel: TensorKernel, sign: float, nodes: NodeSet):
-        self.kernel, self.sign = kernel, sign
-        self.ux, self.ix = np.unique(nodes.nodes[:, 0], return_inverse=True)
-        self.ut, self.it = np.unique(nodes.nodes[:, 1], return_inverse=True)
-        self.px = kernel.spatial.pieces(self.ux)
+    def __init__(self, kernel: TensorKernel, sign: float, nodes: NodeSet, px):
+        self.kernel, self.sign, self.px = kernel, sign, px
+        self.ux, self.ut, self.ix, self.it = nodes.ux, nodes.ut, nodes.ix, nodes.it
         self.pt = kernel.temporal.pieces(self.ut, max_dy=1)   # psi_j takes T_.,0 and T_.,1
-        n, nx = len(nodes), len(self.ux)
-        self.tensor = (len(self.ut) * nx == n
-                       and np.array_equal(self.it * nx + self.ix, np.arange(n)))
-
-    def partner(self, kernel: TensorKernel, sign: float) -> "_TrialSpace":
-        """The trial space of kernel and sign on the same nodes.
-
-        It shares this space's coordinates, and its spatial pieces when
-        both use the same spatial kernel, so only the temporal pieces are
-        solved anew.
-        """
-        other = copy.copy(self)
-        other.kernel, other.sign = kernel, sign
-        if kernel.spatial is not self.kernel.spatial:
-            other.px = kernel.spatial.pieces(self.ux)
-        other.pt = kernel.temporal.pieces(self.ut, max_dy=1)
-        return other
 
     def _factors(self, xs, ts, op, memo=None):
         """1-D factor pairs (S, T) of op applied to the trial functions.
@@ -402,9 +403,9 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
         raise KernelDomainMismatch("state and adjoint kernels use different spatial spaces")
 
     n = len(nodes)
-    state = _TrialSpace(K1, FORWARD, nodes)
-    adjoint = state.partner(K2, ADJOINT)
-    _check_footprint(n, state.tensor)
+    _check_footprint(n, nodes.tensor)
+    px = K1.spatial.pieces(nodes.ux)
+    spaces = (_TrialSpace(K1, FORWARD, nodes, px), _TrialSpace(K2, ADJOINT, nodes, px))
     xn = nodes.nodes[:, 0]
     tn = nodes.nodes[:, 1]
     g1 = np.asarray(hom.G1(xn, tn), dtype=float)
@@ -419,23 +420,20 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
 
     # -(1/nu) psi_j2, scaled once after the sum rather than per 1-D factor:
     # at cond ~1e13 a last-bit change in A moves b by ~1e-8
-    scale = -1.0 / base.nu
-    if not np.isfinite(scale):
-        raise ValueError(f"nu = {base.nu!r} is too small: -1/nu overflows")
-    if state.tensor:
+    scales = ((1.0, -1.0 / base.nu), (1.0, 1.0))
+    if nodes.tensor:
         memo = {}
-        pairs = [[state.pairs(L1, memo), adjoint.pairs(IDENTITY, memo)],
-                 [state.pairs(IDENTITY, memo), adjoint.pairs(L2, memo)]]
-        factors = _KroneckerBlocks(pairs, [[1.0, scale], [1.0, 1.0]],
-                                   len(state.ut), len(state.ux))
-        return CollocationSystem(C, nodes, hom, (state, adjoint), factors=factors)
+        pairs = [[spaces[q].pairs(_OPS[p][q], memo) for q in (0, 1)] for p in (0, 1)]
+        factors = _KroneckerBlocks(pairs, scales, len(nodes.ut), len(nodes.ux))
+        return CollocationSystem(C, nodes, hom, spaces, factors=factors)
     A = np.zeros((2 * n, 2 * n))
-    state.assemble(L1, A[:n, :n])
-    adjoint.assemble(IDENTITY, A[:n, n:])
-    A[:n, n:] *= scale
-    state.assemble(IDENTITY, A[n:, :n])
-    adjoint.assemble(L2, A[n:, n:])
-    return CollocationSystem(C, nodes, hom, (state, adjoint), dense=A)
+    for p in (0, 1):
+        for q in (0, 1):
+            block = A[p * n:p * n + n, q * n:q * n + n]
+            spaces[q].assemble(_OPS[p][q], block)
+            if scales[p][q] != 1.0:
+                block *= scales[p][q]
+    return CollocationSystem(C, nodes, hom, spaces, dense=A)
 
 
 # rows of a dense A per block in the pass of |A| |b|; the pass reuses one

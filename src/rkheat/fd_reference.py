@@ -14,8 +14,8 @@ Nielson, SINUM 1970).  In sine modes the system splits into n_x
 independent pentadiagonal systems in time, solved together by one banded
 LU with partial pivoting; nothing of size n_x * M squared is formed.
 
-scipy is imported on first use: scipy.linalg by solve_coupled_fd and
-scipy.interpolate by self_convergence, so importing rkheat loads neither.
+solve_coupled_fd imports scipy.linalg on first use, so importing rkheat
+does not load it.
 """
 
 from __future__ import annotations
@@ -178,35 +178,27 @@ def error_vs_exact(field: GridField, exact_field) -> dict:
     return {"linf": float(np.abs(err).max()), "l2": l2}
 
 
-def _spline(field: GridField):
-    from scipy.interpolate import RectBivariateSpline
-
-    g = field.grid
-    return RectBivariateSpline(g.ts, g.xs, field.values, kx=3, ky=3)
-
-
-def self_convergence(problem: ControlProblem, n_base: int = 16,
-                     probe: tuple[int, int] = (33, 33)) -> dict:
+def self_convergence(problem: ControlProblem, n_base: int = 16) -> dict:
     """Observed order from three nested grids, no exact solution needed.
 
-    Solves at n, 2n and 4n points per direction, transfers each solution
-    to a fixed probe grid by bicubic splines, and estimates the order from
-    the ratio of successive differences.
+    Solves on n, 2n and 4n intervals per direction, so every other point
+    of each grid lies on the one before it, compares successive solutions
+    at those shared points, and estimates the order from the ratio of
+    successive differences.
     """
-    a, b, T = problem.a, problem.b, problem.T
-    px = np.linspace(a, b, probe[0])
-    pt = np.linspace(0.0, T, probe[1])
-
+    if n_base < 2:
+        raise ValueError(f"n_base must be at least 2, got {n_base}")
     samples = []
     for n in (n_base, 2 * n_base, 4 * n_base):
-        grid = SpaceTimeGrid(n_x=n, n_t=n, interval=(a, b), horizon=T)
+        grid = SpaceTimeGrid(n_x=n - 1, n_t=n - 1, interval=problem.interval,
+                             horizon=problem.T)
         fd = solve_coupled_fd(problem, grid)
-        samples.append((_spline(fd.y)(pt, px), _spline(fd.p)(pt, px)))
+        samples.append((fd.y.values, fd.p.values))
 
     out = {}
     for name, idx in (("y", 0), ("p", 1)):
-        d1 = float(np.abs(samples[0][idx] - samples[1][idx]).max())
-        d2 = float(np.abs(samples[1][idx] - samples[2][idx]).max())
+        d1 = float(np.abs(samples[0][idx] - samples[1][idx][::2, ::2]).max())
+        d2 = float(np.abs(samples[1][idx] - samples[2][idx][::2, ::2]).max())
         out[f"order_{name}"] = float(np.log2(d1 / d2)) if d2 > 0 else float("inf")
         out[f"diff_{name}"] = (d1, d2)
     return out

@@ -68,6 +68,9 @@ class ControlProblem:
             raise ValueError("need T > 0")
         if self.nu <= 0:
             raise ValueError("need nu > 0")
+        # -1/nu couples the equations; a float divide, unlike numpy's, does not warn
+        if math.isinf(1.0 / float(self.nu)):
+            raise ValueError(f"nu = {self.nu!r} is too small: -1/nu overflows")
         mism = max(abs(float(self.y0(self.a)) - float(self.h1(0.0))),
                    abs(float(self.y0(self.b)) - float(self.h2(0.0))))
         if mism > 1e-9:

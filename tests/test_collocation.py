@@ -47,6 +47,56 @@ class TestGenerateNodes:
         with pytest.raises(ValueError):
             rk.NodeSet(nodes=np.array([[0.5, 0.5], [0.5, 0.5]]), generation={})
 
+    @pytest.mark.parametrize("n_x,n_t,name", [(2.5, 2, "n_x"), (2, 3.0, "n_t"),
+                                              ("3", 2, "n_x"), (0, 2, "n_x")])
+    def test_non_integer_or_small_count_rejected(self, n_x, n_t, name):
+        with pytest.raises(ValueError, match=f"need an integer {name} >= 1"):
+            rk.generate_nodes(n_x, n_t, UNIT)
+
+    def test_numpy_integer_counts_accepted(self):
+        ns = rk.generate_nodes(np.int64(3), np.int32(2), UNIT)
+        assert np.array_equal(ns.nodes, rk.generate_nodes(3, 2, UNIT).nodes)
+
+
+class TestNodeSet:
+    @pytest.mark.parametrize("n_x,n_t", [(1, 1), (1, 5), (5, 1), (7, 4)])
+    def test_generated_grid_is_tensor(self, n_x, n_t):
+        ns = rk.generate_nodes(n_x, n_t, UNIT)
+        assert ns.tensor is True
+        assert (len(ns.ux), len(ns.ut)) == (n_x, n_t)
+
+    def test_x_major_permutation_is_not_tensor(self):
+        assert x_major(rk.generate_nodes(7, 4, UNIT))[0].tensor is False
+
+    def test_grid_with_a_node_dropped_is_not_tensor(self):
+        nodes = rk.generate_nodes(7, 4, UNIT).nodes
+        for drop in (0, 10, len(nodes) - 1):
+            ns = rk.NodeSet(nodes=np.delete(nodes, drop, axis=0), generation={})
+            assert ns.tensor is False
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_jittered_set_is_not_tensor(self, n):
+        ns = node_layout("jittered", n)
+        assert ns.tensor is False
+        assert len(ns.ux) == len(ns.ut) == n * n
+
+    @pytest.mark.parametrize("make", [
+        lambda: rk.generate_nodes(7, 4, UNIT),
+        lambda: x_major(rk.generate_nodes(7, 4, UNIT))[0],
+        lambda: node_layout("jittered", 3),
+    ], ids=["grid", "x-major", "jittered"])
+    def test_coordinates_rebuild_the_nodes(self, make):
+        ns = make()
+        assert np.array_equal(ns.ux[ns.ix], ns.nodes[:, 0])
+        assert np.array_equal(ns.ut[ns.it], ns.nodes[:, 1])
+        assert np.all(np.diff(ns.ux) > 0) and np.all(np.diff(ns.ut) > 0)
+
+    @pytest.mark.parametrize("nodes", [np.zeros(4), np.zeros((2, 3)), np.zeros((2, 2, 2))],
+                             ids=["1-d", "three-columns", "3-d"])
+    def test_array_not_n_by_2_rejected(self, nodes):
+        with pytest.raises(ValueError, match=r"must be an \(n, 2\) array"):
+            rk.NodeSet(nodes=nodes, generation={})
+
 
 class TestAssemble:
     def test_single_node_block_entries(self, ex1_case, unit_kernels):
@@ -112,12 +162,6 @@ class TestAssemble:
         with pytest.raises(rk.KernelDomainMismatch):
             rk.assemble(hom, rk.generate_nodes(2, 2, UNIT), bad)
 
-    def test_nu_whose_reciprocal_overflows_rejected(self, unit_kernels):
-        # -1/nu is -inf below 1/float_info.max ~ 5.6e-309
-        problem, _ = rk.builtin_example(2, nu=1e-309)
-        with pytest.raises(ValueError, match="nu = 1e-309 is too small: -1/nu overflows"):
-            rk.assemble(rk.homogenize(problem), rk.generate_nodes(2, 2, UNIT), unit_kernels)
-
     def test_footprint_over_physical_memory_refused(self, ex1_case, unit_kernels,
                                                     monkeypatch):
         _, _, hom = ex1_case
@@ -127,6 +171,16 @@ class TestAssemble:
                                              "for the dense 1152x1152 solve, more "
                                              "than the 12 MB of physical memory"):
             rk.assemble(hom, nodes, unit_kernels)
+
+    def test_refused_footprint_solves_no_kernel_pieces(self, ex1_case, unit_kernels,
+                                                       monkeypatch):
+        _, _, hom = ex1_case
+        calls = []
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: 2 ** 13)
+        monkeypatch.setattr(rk.Kernel1D, "pieces", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match="16 nodes need an estimated"):
+            rk.assemble(hom, rk.generate_nodes(4, 4, UNIT), unit_kernels)
+        assert calls == []
 
     @pytest.mark.parametrize("layout, per_a", [("grid", 1.5), ("jittered", 2.5)])
     def test_footprint_estimate_per_representation(self, layout, per_a, ex1_case,

@@ -195,5 +195,12 @@ class TestSelfConvergence:
     def test_observed_order(self, example_id):
         problem, _ = rk.builtin_example(example_id, nu=1e-2)
         out = rk.self_convergence(problem, n_base=16)
-        assert 1.7 <= out["order_y"] <= 2.3
-        assert 1.7 <= out["order_p"] <= 2.3
+        # Crank-Nicolson is second order; nested grids compare shared points
+        # with no transfer error (2.00 to 2.04 on the three examples)
+        assert 1.95 <= out["order_y"] <= 2.1
+        assert 1.95 <= out["order_p"] <= 2.1
+
+    def test_single_interval_base_rejected(self):
+        problem, _ = rk.builtin_example(1, nu=1e-2)
+        with pytest.raises(ValueError, match="n_base must be at least 2, got 1"):
+            rk.self_convergence(problem, n_base=1)

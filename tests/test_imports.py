@@ -5,8 +5,8 @@ unknown flag load numpy and no scipy module.  scipy.linalg loads at the
 first LU, banded or block solve: rk.solve, rk.solve_picard and
 rk.solve_coupled_fd import it where they call it, and each runs here as
 the first caller in its own interpreter, so a missing import fails there.
-scipy.interpolate (which itself loads scipy.sparse) belongs to
-self_convergence and loads on its first use.
+self_convergence, which runs the banded solve, loads scipy.linalg too.  No
+rkheat call loads scipy.interpolate or scipy.sparse.
 """
 
 import json
@@ -58,7 +58,7 @@ mark("help")
 with contextlib.redirect_stderr(io.StringIO()):
     steps["unknown_flag_exit"] = rkheat.cli.main(["solve", "--no-such-flag"])
 mark("unknown flag")
-rk.self_convergence(problem, n_base=4, probe=(5, 5))
+rk.self_convergence(problem, n_base=4)
 mark("self_convergence")
 """
 
@@ -105,7 +105,7 @@ def test_import_and_cli_usage_load_no_scipy(probes):
     assert (steps["help_exit"], steps["unknown_flag_exit"]) == (0, 2)
     for name in ("import", "help", "unknown flag"):
         assert steps[name] == NONE_LOADED, name
-    assert steps["self_convergence"]["scipy.interpolate"]
+    assert steps["self_convergence"] == LINALG_ONLY
 
 
 @pytest.mark.parametrize("call", sorted(FIRST_SOLVES))

@@ -30,6 +30,20 @@ class TestControlProblem:
         with pytest.raises(ValueError):
             make_problem(nu=0.0)
 
+    def test_nu_whose_reciprocal_overflows_rejected(self):
+        # -1/nu is -inf below 1/float_info.max ~ 5.6e-309; a built-in
+        # example fails when it is built, before either solver runs
+        with pytest.raises(ValueError, match="nu = 1e-309 is too small: -1/nu overflows"):
+            rk.builtin_example(2, nu=1e-309)
+
+    @pytest.mark.parametrize("nu", [1e-309, np.float64(5e-324)], ids=["float", "numpy"])
+    def test_overflowing_reciprocal_rejected_without_warning(self, nu):
+        with pytest.raises(ValueError, match="is too small: -1/nu overflows"):
+            make_problem(nu=nu)
+
+    def test_smallest_nu_with_finite_reciprocal_accepted(self):
+        assert make_problem(nu=1e-308).nu == 1e-308
+
     @pytest.mark.parametrize("name", ["a", "b", "T", "nu"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_nonfinite_parameter_named(self, name, value):

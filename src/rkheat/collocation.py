@@ -20,11 +20,12 @@ to the left-hand side, giving one 2n x 2n block system
 Every 1-D factor of psi_j depends only on the node's x or t coordinate,
 so each block, each point value and each grid of values is a sum of
 products of small 1-D kernel derivative matrices on the node set's
-distinct coordinates; _TrialSpace builds them, one per field.  On a
-tensor node set each block is exactly a sum of Kronecker products of
-those matrices, and the system keeps that form instead of the dense
-matrix: products with A come from the factor pairs, and the solve
-builds A once, to factor it.  All second-argument derivatives are exact (implicit
+distinct coordinates; _TrialSpace builds them, one per field.  The
+system keeps each block as a sum of Kronecker products instead of the
+dense matrix: on a tensor node set, of those 1-D matrices; on any other
+node set, one product of the gathered block with [[1]].  Products with
+A come from the factor pairs, and the solve builds A once, to factor
+it.  All second-argument derivatives are exact (implicit
 differentiation in the kernel module); no finite differences enter the
 matrix.  Only the LU step needs scipy: it imports scipy.linalg on first
 use, so importing rkheat does not load it.
@@ -93,6 +94,8 @@ class NodeSet:
         if np.ndim(self.nodes) != 2 or np.shape(self.nodes)[1] != 2:
             raise ValueError(f"collocation nodes must be an (n, 2) array of x, t "
                              f"pairs, got shape {np.shape(self.nodes)}")
+        if len(self.nodes) == 0:
+            raise ValueError("the collocation node set is empty")
         if not np.isfinite(self.nodes).all():
             raise ValueError("collocation nodes must be finite")
         ux, ix = np.unique(self.nodes[:, 0], return_inverse=True)
@@ -115,7 +118,7 @@ def generate_nodes(n_x: int, n_t: int, domain) -> NodeSet:
     t_k = (k - 1/2) T / n_t are strictly interior by construction.
     """
     for name, count in (("n_x", n_x), ("n_t", n_t)):
-        if not isinstance(count, (int, np.integer)) or count < 1:
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
             raise ValueError(f"need an integer {name} >= 1, got {count!r}")
     (a, b), T = domain
     xs = a + (np.arange(1, n_x + 1) - 0.5) * (b - a) / n_x
@@ -130,17 +133,19 @@ def generate_nodes(n_x: int, n_t: int, domain) -> NodeSet:
 class _KroneckerBlocks:
     """The four n x n blocks of A as sums of Kronecker products of 1-D factors.
 
-    On a t-major tensor node set node r sits at (ux[r % nx], ut[r // nx]),
-    so block (p, q) of A is scales[p][q] times the sum of kron(T, S) over
-    its factor pairs pairs[p][q], summed in list order, the same products
-    in the same order as a gather of the full block.
+    With node r at (ux[r % nx], ut[r // nx]), block (p, q) of A is
+    scales[p][q] times the sum of kron(T, S) over its factor pairs
+    pairs[p][q], summed in list order.  A t-major tensor node set has one
+    pair per term of the operator, on its distinct coordinates; any other
+    node set is the case nt = 1, nx = n, one pair (block, [[1]]) per block
+    with the unscaled block gathered at the nodes.
     """
 
     def __init__(self, pairs, scales, nt: int, nx: int):
         self.pairs, self.scales, self.nt, self.nx = pairs, scales, nt, nx
 
-    def block(self, p: int, q: int, out: np.ndarray) -> None:
-        """Write block (p, q) of A into the n x n view out.
+    def block(self, p: int, q: int, out: np.ndarray) -> np.ndarray:
+        """Write block (p, q) of A into the n x n view out, and return out.
 
         out may be strided, as a quadrant of a 2n x 2n array is, as long as
         its rows or its columns are contiguous.  A Fortran-ordered out is
@@ -149,12 +154,12 @@ class _KroneckerBlocks:
         at a time, about _PRODUCT_ROWS rows of the block, so all but the
         first pair's go through a buffer of that many rows.
         """
-        pairs = self.pairs[p][q]
+        pairs, target = self.pairs[p][q], out
         if out.strides[1] != out.itemsize:
-            pairs, out = [(S.T, T.T) for S, T in pairs], out.T
-        view = out.reshape((self.nt, self.nx, self.nt, self.nx), copy=False)
+            pairs, target = [(S.T, T.T) for S, T in pairs], out.T
+        view = target.reshape((self.nt, self.nx, self.nt, self.nx), copy=False)
         step = max(1, _PRODUCT_ROWS // self.nx)
-        buffer = np.empty((min(step, self.nt),) + view.shape[1:])
+        buffer = np.empty((min(step, self.nt),) + view.shape[1:]) if len(pairs) > 1 else None
         for r in range(0, self.nt, step):
             dest = view[r:r + step]
             for k, (S, T) in enumerate(pairs):
@@ -164,6 +169,7 @@ class _KroneckerBlocks:
                     dest += product
         if self.scales[p][q] != 1.0:
             out *= self.scales[p][q]
+        return out
 
     def matvec(self, b, absolute=False):
         """A @ b, or |A| @ |b| when absolute, from the factor pairs.
@@ -188,34 +194,32 @@ class _KroneckerBlocks:
 class CollocationSystem:
     """Block system A b = C for the coupled pair.
 
-    A is kept in one of two forms.  On a full t-major tensor node set, as
-    generate_nodes makes, it is its 1-D factor pairs (factors), ~200 KB at
-    32 x 32 nodes where A takes 32 MB.  On any other node set it is the
-    dense array (dense); there the factors are n x n each, and the 24 of
-    them would take 6 |A|.  _block(p, q, out) writes one n x n block of A
-    into a C- or Fortran-ordered view, bitwise equal in either form, and
-    matvec(b) forms A @ b, or |A| @ |b|, without building A.  solve writes
-    the four blocks into one Fortran-ordered A, once, and takes every
-    other product from matvec; solve_picard builds only the four blocks.
-    spaces are the state and adjoint trial spaces assemble built; the
-    solution evaluates through them.
+    A is kept as its 1-D factor pairs (factors).  On a full t-major tensor
+    node set, as generate_nodes makes, they are small, ~200 KB at 32 x 32
+    nodes where A takes 32 MB; on any other node set they are the four
+    gathered n x n blocks, |A| in all.  factors.block(p, q, out) writes one
+    n x n block of A into a C- or Fortran-ordered view, and
+    factors.matvec(b) forms A @ b, or |A| @ |b|, without building A.
+    solve writes the four blocks into one Fortran-ordered A, once, and
+    takes every other product from matvec; solve_picard builds only the
+    four blocks.  spaces are the state and adjoint trial spaces assemble
+    built; the solution evaluates through them.
     """
 
     C: np.ndarray
     node_set: NodeSet
     hom: HomogenizedProblem
     spaces: tuple[_TrialSpace, _TrialSpace]
-    dense: np.ndarray | None = None
-    factors: _KroneckerBlocks | None = None
+    factors: _KroneckerBlocks
 
     @property
     def A(self) -> np.ndarray:
-        """The 2n x 2n matrix; from factor pairs, a new array on each access.
+        """The 2n x 2n matrix, a new array from the factor pairs on each access.
 
         No solve reads it; the benchmark tracer does, and tests compare
         against it.  It can go once the tracer takes the size of A from C.
         """
-        return self.dense if self.dense is not None else self._matrix()
+        return self._matrix()
 
     def _matrix(self, order: str = "C") -> np.ndarray:
         """A new 2n x 2n array of A in the given order, block by block."""
@@ -223,34 +227,7 @@ class CollocationSystem:
         out = np.empty((2 * n, 2 * n), order=order)
         for p in (0, 1):
             for q in (0, 1):
-                self._block(p, q, out[p * n:p * n + n, q * n:q * n + n])
-        return out
-
-    def _block(self, p: int, q: int, out: np.ndarray) -> np.ndarray:
-        """Block (p, q) of A, written into the n x n view out."""
-        if self.dense is not None:
-            n = len(self.node_set)
-            out[...] = self.dense[p * n:p * n + n, q * n:q * n + n]
-        else:
-            self.factors.block(p, q, out)
-        return out
-
-    def matvec(self, b: np.ndarray, absolute: bool = False) -> np.ndarray:
-        """A @ b, or |A| @ |b| when absolute, without building A.
-
-        A dense A takes |A| in blocks of _ROW_BLOCK rows, so no second
-        2n x 2n array is made.
-        """
-        if self.dense is None:
-            return self.factors.matvec(b, absolute)
-        if not absolute:
-            return self.dense @ b
-        size = len(b)
-        out, b_abs = np.empty(size), np.abs(b)
-        buffer = np.empty((min(_ROW_BLOCK, size), size))
-        for i in range(0, size, _ROW_BLOCK):
-            j = min(i + _ROW_BLOCK, size)
-            out[i:j] = np.abs(self.dense[i:j], out=buffer[:j - i]) @ b_abs
+                self.factors.block(p, q, out[p * n:p * n + n, q * n:q * n + n])
         return out
 
 
@@ -277,14 +254,15 @@ def standard_kernels(interval, horizon):
 
 
 # Peak bytes of a solve as a multiple of |A| = (2n)^2 * 8 B, keyed on
-# whether A is kept as factor pairs (tensor node sets).  Tracemalloc of
-# example 2 at 24^2 and 32^2 nodes: the direct solve holds A, factored in
-# place, 1.03 and 1.01 |A|, or 2.23 and 2.13 |A| beside a dense A, whose
-# |A| |b| takes a block of rows; Picard holds the four n x n blocks, 1.02
-# and 1.01 |A|, or 2.00 |A| beside a dense A.  The guard adds ~0.25 |A|
-# or more to the worst path.  Writing A's blocks and the block of 256 rows
-# are fixed costs, a larger share of a small |A| (1.13 and 2.51 |A| at
-# 16^2 nodes).
+# whether the node set is a tensor grid, whose factor pairs are small; a
+# scattered set's are its four gathered blocks, |A| in all.  Tracemalloc
+# of example 2 at 24^2 and 32^2 nodes, counting those blocks: the direct
+# solve holds A, factored in place, 1.03 and 1.01 |A|, or 2.26 and 2.25
+# |A| on an x-major set, whose |A| |b| takes |block| one block at a time;
+# Picard holds the four n x n blocks, 1.02 and 1.01 |A|, or 2.00 |A| on
+# an x-major set.  The guard adds ~0.25 |A| or more to the worst path.
+# Writing A's blocks is a fixed cost, a larger share of a small |A| (1.13
+# |A| at 16^2 nodes).
 _PEAK_PER_A = {True: 1.5, False: 2.5}
 
 
@@ -373,13 +351,15 @@ class _TrialSpace:
         """The factor pairs of op psi_j at the nodes: one block of A."""
         return list(self._factors(self.ux, self.ut, op, memo))
 
-    def assemble(self, op, out):
-        """out[i, j] += op psi_j at node i, gathered from the 1-D factors."""
+    def gather(self, op):
+        """The n x n block [op psi_j at node i], gathered from the 1-D factors."""
         sx, st = np.ix_(self.ix, self.ix), np.ix_(self.it, self.it)
+        out = np.zeros((len(self.ix), len(self.ix)))
         for S, T in self._factors(self.ux, self.ut, op):
             block = S[sx]
             block *= T[st]
             out += block
+        return out
 
     def _coefficient_grid(self, b):
         """Coefficients scattered to B[t-coordinate, x-coordinate]."""
@@ -425,20 +405,13 @@ def assemble(hom: HomogenizedProblem, nodes: NodeSet, kernels) -> CollocationSys
         memo = {}
         pairs = [[spaces[q].pairs(_OPS[p][q], memo) for q in (0, 1)] for p in (0, 1)]
         factors = _KroneckerBlocks(pairs, scales, len(nodes.ut), len(nodes.ux))
-        return CollocationSystem(C, nodes, hom, spaces, factors=factors)
-    A = np.zeros((2 * n, 2 * n))
-    for p in (0, 1):
-        for q in (0, 1):
-            block = A[p * n:p * n + n, q * n:q * n + n]
-            spaces[q].assemble(_OPS[p][q], block)
-            if scales[p][q] != 1.0:
-                block *= scales[p][q]
-    return CollocationSystem(C, nodes, hom, spaces, dense=A)
+    else:
+        one = np.ones((1, 1))
+        pairs = [[[(spaces[q].gather(_OPS[p][q]), one)] for q in (0, 1)] for p in (0, 1)]
+        factors = _KroneckerBlocks(pairs, scales, 1, n)
+    return CollocationSystem(C, nodes, hom, spaces, factors)
 
 
-# rows of a dense A per block in the pass of |A| |b|; the pass reuses one
-# block buffer, since a fresh multi-MB block per step is paged in anew
-_ROW_BLOCK = 256
 # rows of a block per product buffer when a block is built from factor pairs
 _PRODUCT_ROWS = 32
 
@@ -480,14 +453,14 @@ def _lu_in_place(M: np.ndarray, name: str):
 def solve(system: CollocationSystem) -> "Solution":
     """Solve the collocation system with one LU factorization.
 
-    The four blocks of A are written into one Fortran-ordered array, so on
-    a tensor node set, where A is kept as factor pairs, the solve builds A
-    once and holds one 2n x 2n array.  _lu_in_place takes ||A||_1 and
+    The four blocks of A are written from the factor pairs into one
+    Fortran-ordered array, so the solve builds A once and holds one
+    2n x 2n array beside the pairs.  _lu_in_place takes ||A||_1 and
     factors A in place; a non-finite A or a zero pivot raises
     NumericallySingular.  LAPACK getrs solves the system with the factors,
     then one step of iterative refinement corrects b.  Every product with
     A, the refinement residual, the final residual and |A| |b|, comes from
-    system.matvec.  info["cond"] holds LAPACK gecon's 1-norm condition
+    system.factors.matvec.  info["cond"] holds LAPACK gecon's 1-norm condition
     estimate of A from its factors, under "pre" and "post" alike; no
     inverse is formed.  info["solver"] records the componentwise
     (Oettli-Prager) backward error max_i |A b - C|_i / (|A| |b| + |C|)_i,
@@ -500,14 +473,14 @@ def solve(system: CollocationSystem) -> "Solution":
 
     C = system.C
     b, _ = getrs(lu, piv, C)
-    db, _ = getrs(lu, piv, C - system.matvec(b), overwrite_b=True)
+    db, _ = getrs(lu, piv, C - system.factors.matvec(b), overwrite_b=True)
     b = b + db
     if not np.isfinite(b).all():
         raise NumericallySingular("solution vector is not finite")
 
     n = len(system.node_set)
-    residual = np.abs(system.matvec(b) - C)
-    scale = system.matvec(b, absolute=True) + np.abs(C)
+    residual = np.abs(system.factors.matvec(b) - C)
+    scale = system.factors.matvec(b, absolute=True) + np.abs(C)
     # a row with |A||b| + |C| = 0 has a zero residual: its ratio is 0
     backward_error = np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0)
     b_max = float(np.abs(b).max())
@@ -533,8 +506,9 @@ def solve_picard(system: CollocationSystem, tol: float = 1e-10, max_iter: int = 
     n = len(system.node_set)
     # the diagonal blocks are factored in place, so they are written in
     # Fortran order; the off-diagonal ones serve row-major products
-    A11, A22 = (system._block(p, p, np.empty((n, n), order="F")) for p in (0, 1))
-    A12, A21 = (system._block(p, 1 - p, np.empty((n, n))) for p in (0, 1))
+    block = system.factors.block
+    A11, A22 = (block(p, p, np.empty((n, n), order="F")) for p in (0, 1))
+    A12, A21 = (block(p, 1 - p, np.empty((n, n))) for p in (0, 1))
     C1, C2 = system.C[:n], system.C[n:]
     lu1, piv1, _, getrs, _ = _lu_in_place(A11, "block A11")
     lu2, piv2, *_ = _lu_in_place(A22, "block A22")

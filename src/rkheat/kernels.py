@@ -271,15 +271,19 @@ def kernel_matrix(kernel: Kernel1D, xs, ys, dx=0, dy=0, *, pieces=None) -> np.nd
     pieces, where given, is kernel.pieces(ys) with at least dy + 1
     derivative orders, kept by the caller across calls on the same centres;
     otherwise it is solved here.  Each column is one polynomial evaluation
-    per piece at xs - a, the left piece at x <= y.
+    per piece at xs - a, the left piece at x <= y.  dx and dy must be
+    integers >= 0; an order beyond the piece degree gives exact zeros.
     """
+    for name, order in (("dx", dx), ("dy", dy)):
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+            raise ValueError(f"derivative order {name} must be an integer >= 0, got {order!r}")
     a = kernel.spec.a
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.asarray(ys, dtype=float).ravel()
     kernel._check(ys, "y")
     kernel._check(xs, "x")
     nc = kernel.piece_length
-    if dx >= nc:
+    if max(dx, dy) >= nc:
         return np.zeros((xs.size, ys.size))
     if pieces is None:
         pieces = kernel.pieces(ys, dy)

@@ -12,8 +12,12 @@ from oracles import BasisFunction, BasisKind, one_lu_solve
 
 
 def dense_backed(system, A):
-    """The system with A stored as the given dense array."""
-    return dataclasses.replace(system, dense=A, factors=None)
+    """The system with A given as a dense array: each quadrant one pair, unscaled."""
+    n = len(A) // 2
+    pairs = [[[(A[p * n:p * n + n, q * n:q * n + n], np.ones((1, 1)))] for q in (0, 1)]
+             for p in (0, 1)]
+    factors = collocation._KroneckerBlocks(pairs, ((1.0, 1.0), (1.0, 1.0)), 1, n)
+    return dataclasses.replace(system, factors=factors)
 
 
 def x_major(nodes):
@@ -48,7 +52,8 @@ class TestGenerateNodes:
             rk.NodeSet(nodes=np.array([[0.5, 0.5], [0.5, 0.5]]), generation={})
 
     @pytest.mark.parametrize("n_x,n_t,name", [(2.5, 2, "n_x"), (2, 3.0, "n_t"),
-                                              ("3", 2, "n_x"), (0, 2, "n_x")])
+                                              ("3", 2, "n_x"), (0, 2, "n_x"),
+                                              (True, 2, "n_x")])
     def test_non_integer_or_small_count_rejected(self, n_x, n_t, name):
         with pytest.raises(ValueError, match=f"need an integer {name} >= 1"):
             rk.generate_nodes(n_x, n_t, UNIT)
@@ -96,6 +101,10 @@ class TestNodeSet:
     def test_array_not_n_by_2_rejected(self, nodes):
         with pytest.raises(ValueError, match=r"must be an \(n, 2\) array"):
             rk.NodeSet(nodes=nodes, generation={})
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="node set is empty"):
+            rk.NodeSet(nodes=np.zeros((0, 2)), generation={})
 
 
 class TestAssemble:
@@ -186,7 +195,8 @@ class TestAssemble:
     def test_footprint_estimate_per_representation(self, layout, per_a, ex1_case,
                                                    unit_kernels, monkeypatch):
         # the worst path is the direct solve, ~1.0 |A| from factor pairs and
-        # 2.2 |A| beside a dense A, each with a margin
+        # 2.26 |A| on a scattered set, counting its gathered blocks, each with
+        # a margin
         _, _, hom = ex1_case
         nodes = node_layout(layout, 2)
         estimate = per_a * 8 ** 2 * 8
@@ -201,12 +211,14 @@ class TestAssemble:
     @pytest.mark.parametrize("mode", ["direct", "picard"])
     @pytest.mark.parametrize("dense", [False, True], ids=["tensor", "dense"])
     def test_footprint_estimate_covers_every_solve(self, dense, mode):
-        # counting A where it is stored; buffers and vectors add a fixed
-        # cost of well under 1 MB
-        _, _, _, system, _, _ = solve_example(2, 1e-2, 24, 24)
+        # counting the gathered blocks that a scattered set stores, |A| in
+        # all; buffers and vectors add a fixed cost of well under 1 MB
+        problem, _, hom, system, _, _ = solve_example(2, 1e-2, 24, 24)
         size = system.C.size ** 2 * 8
         if dense:
-            system = dense_backed(system, system.A)
+            nodes = x_major(system.node_set)[0]
+            system = rk.assemble(hom, nodes, rk.standard_kernels(problem.interval, problem.T))
+            assert system.factors.nt == 1
         tracemalloc.start()
         try:
             (rk.solve if mode == "direct" else rk.solve_picard)(system)
@@ -217,16 +229,16 @@ class TestAssemble:
 
     @pytest.mark.parametrize("n_x, n_t", [(4, 4), (5, 7), (24, 24)])
     def test_factor_rows_match_gather(self, n_x, n_t, ex1_case, unit_kernels):
-        # x-major order is no t-major tensor set, so it takes the gather of
-        # the dense path; the same products, summed in the same order, make
-        # the same matrix with its rows and columns permuted
+        # x-major order is no t-major tensor set, so each block is gathered
+        # at the nodes and kept as one pair; the same products, summed in the
+        # same order, make the same matrix with its rows and columns permuted
         _, _, hom = ex1_case
         nodes = rk.generate_nodes(n_x, n_t, UNIT)
         system = rk.assemble(hom, nodes, unit_kernels)
         permuted, order = x_major(nodes)
         gathered = rk.assemble(hom, permuted, unit_kernels)
-        assert system.dense is None and system.factors is not None
-        assert gathered.dense is not None and gathered.factors is None
+        assert (system.factors.nt, system.factors.nx) == (n_t, n_x)
+        assert (gathered.factors.nt, gathered.factors.nx) == (1, len(nodes))
         both = np.concatenate([order, order + len(nodes)])
         A = system.A
         assert np.array_equal(A[np.ix_(both, both)], gathered.A)
@@ -244,7 +256,7 @@ class TestAssemble:
                 for q in (0, 1):
                     quadrant = A[p * n:p * n + n, q * n:q * n + n]
                     for order in "CF":
-                        out = form._block(p, q, np.empty((n, n), order=order))
+                        out = form.factors.block(p, q, np.empty((n, n), order=order))
                         assert np.array_equal(out, quadrant)
 
     def test_assembly_holds_factor_pairs_only(self, ex1_case, unit_kernels):
@@ -332,20 +344,14 @@ class TestSolve:
         pytest.param(1, "jittered", 8, id="1-8-jittered"),
     ])
     def test_matches_two_lu_reference(self, example_id, layout, n, unit_kernels):
-        # one LU of A, in place, with every product taken from the system's
-        # matvec: on a dense set that is A @ b, so b matches the solve on
-        # the whole matrix bitwise; on a tensor set the refinement residual
-        # from the factor pairs rounds differently, and the fields agree to
-        # the rounding floor of A
+        # one LU of A, in place, with every product taken from the factor
+        # pairs' matvec: the refinement residual rounds differently from the
+        # dense product's, and the fields agree to the rounding floor of A
         problem, _ = rk.builtin_example(example_id, nu=1e-2)
         system = rk.assemble(rk.homogenize(problem), node_layout(layout, n), unit_kernels)
         sol = rk.solve(system)
-        b, db, cond = one_lu_solve(system.A, system.C)
+        b, _, cond = one_lu_solve(system.A, system.C)
         assert sol.info["cond"] == {"pre": cond, "post": cond}
-        if layout == "jittered":
-            assert np.array_equal(np.concatenate([sol.b1, sol.b2]), b)
-            assert sol.info["solver"]["refinement_change"] == np.abs(db).max() / np.abs(b).max()
-            return
         size = len(system.node_set)
         reference = dataclasses.replace(sol, b1=b[:size], b2=b[size:])
         grid = np.linspace(0.0, 1.0, 33)
@@ -355,21 +361,21 @@ class TestSolve:
 
     def test_backward_error(self, ex1_solution_8):
         # componentwise (Oettli-Prager): max_i |Ab - C|_i / (|A||b| + |C|)_i;
-        # on a tensor set A b comes from the factor pairs, and the numerator,
-        # rounding noise, differs from the dense product's in its last bits
+        # A b comes from the factor pairs, and the numerator, rounding
+        # noise, differs from the dense product's in its last bits
         sol, system = ex1_solution_8
         A, C = system.A, system.C
-        for tensor, solution in ((True, sol), (False, rk.solve(dense_backed(system, A)))):
+        for solution in (sol, rk.solve(dense_backed(system, A))):
             b = np.concatenate([solution.b1, solution.b2])
             want = (np.abs(A @ b - C) / (np.abs(A) @ np.abs(b) + np.abs(C))).max()
             got = solution.info["solver"]["backward_error"]
-            assert abs(got - want) <= 1e-15 if tensor else got == want
+            assert abs(got - want) <= 1e-15
             assert got < 1e-15
 
     def test_one_build_of_a_per_solve(self, ex1_case, unit_kernels, monkeypatch):
-        # the fill of A; the residuals and |A||b| come from the factor pairs
+        # the fill of A; the residuals and |A||b| come from the factor pairs,
+        # on a tensor grid and on a scattered set alike
         _, _, hom = ex1_case
-        system = rk.assemble(hom, rk.generate_nodes(6, 5, UNIT), unit_kernels)
         built = []
         block = collocation._KroneckerBlocks.block
 
@@ -378,8 +384,10 @@ class TestSolve:
             return block(self, p, q, out)
 
         monkeypatch.setattr(collocation._KroneckerBlocks, "block", counting)
-        rk.solve(system)
-        assert sorted(built) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        for nodes in (rk.generate_nodes(6, 5, UNIT), node_layout("jittered", 5)):
+            built.clear()
+            rk.solve(rk.assemble(hom, nodes, unit_kernels))
+            assert sorted(built) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     @pytest.mark.parametrize("example_id, nu, layout, n_x, n_t", [
         pytest.param(1, 1e-2, "grid", 4, 4, id="4x4"),
@@ -392,12 +400,13 @@ class TestSolve:
         nodes = (rk.generate_nodes(n_x, n_t, UNIT) if layout == "grid"
                  else node_layout(layout, n_x))
         system = rk.assemble(rk.homogenize(problem), nodes, rk.standard_kernels(*UNIT))
-        assert (system.dense is None) == (layout == "grid")
+        assert (system.factors.nt == 1) == (layout != "grid")
         A = system.A
         b = rng.standard_normal(len(system.C))
         bound = 1e-15 * (np.abs(A) @ np.abs(b))
-        assert np.all(np.abs(system.matvec(b) - A @ b) <= bound)
-        assert np.all(np.abs(system.matvec(b, absolute=True) - np.abs(A) @ np.abs(b)) <= bound)
+        matvec = system.factors.matvec
+        assert np.all(np.abs(matvec(b) - A @ b) <= bound)
+        assert np.all(np.abs(matvec(b, absolute=True) - np.abs(A) @ np.abs(b)) <= bound)
 
     def test_one_lu_per_solve(self, ex1_solution_8, monkeypatch):
         _, system = ex1_solution_8
@@ -745,7 +754,7 @@ class TestPicard:
 
     def test_builds_no_whole_matrix(self, ex1_solution_8, monkeypatch):
         _, system = ex1_solution_8
-        assert system.dense is None
+        assert system.factors.nt == 8
 
         def whole(self):
             raise AssertionError("solve_picard read CollocationSystem.A")
@@ -754,20 +763,23 @@ class TestPicard:
         _, info = rk.solve_picard(system, max_iter=5)
         assert info.iterations == 5
 
-    def test_sweeps_equal_lu_solve(self, ex1_solution_8):
-        # the sweeps call LAPACK getrs directly; lu_solve gives the same bits
-        _, system = ex1_solution_8
-        pic, info = rk.solve_picard(system, tol=1e-11, max_iter=6000)
-        n = len(system.node_set)
-        A, C = system.A, system.C
-        lu1 = scipy.linalg.lu_factor(A[:n, :n])
-        lu2 = scipy.linalg.lu_factor(A[n:, n:])
-        b1, b2 = np.zeros(n), np.zeros(n)
-        for _ in range(info.iterations):
-            b1, b2 = (scipy.linalg.lu_solve(lu1, C[:n] - A[:n, n:] @ b2),
-                      scipy.linalg.lu_solve(lu2, C[n:] - A[n:, :n] @ b1))
-        assert np.array_equal(pic.b1, b1)
-        assert np.array_equal(pic.b2, b2)
+    def test_sweeps_equal_lu_solve(self, ex1_solution_8, ex1_case, unit_kernels):
+        # the sweeps call LAPACK getrs directly; lu_solve gives the same
+        # bits, on a tensor grid and on a scattered set alike
+        _, grid = ex1_solution_8
+        jittered = rk.assemble(ex1_case[2], node_layout("jittered", 8), unit_kernels)
+        for system in (grid, jittered):
+            pic, info = rk.solve_picard(system, tol=1e-11, max_iter=6000)
+            n = len(system.node_set)
+            A, C = system.A, system.C
+            lu1 = scipy.linalg.lu_factor(A[:n, :n])
+            lu2 = scipy.linalg.lu_factor(A[n:, n:])
+            b1, b2 = np.zeros(n), np.zeros(n)
+            for _ in range(info.iterations):
+                b1, b2 = (scipy.linalg.lu_solve(lu1, C[:n] - A[:n, n:] @ b2),
+                          scipy.linalg.lu_solve(lu2, C[n:] - A[n:, :n] @ b1))
+            assert np.array_equal(pic.b1, b1)
+            assert np.array_equal(pic.b2, b2)
 
     def test_converges_with_extended_budget(self, ex1_solution_8):
         direct, system = ex1_solution_8

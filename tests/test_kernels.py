@@ -190,6 +190,20 @@ class TestConditionSystem:
                 assert M[i, j] == pytest.approx(kernel_w2.eval(x, y, 2, 2),
                                                 rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("dx, dy, name", [(-1, 0, "dx"), (0, -1, "dy"), (1.0, 0, "dx"),
+                                              (0, 2.5, "dy"), (0, True, "dy")])
+    def test_invalid_derivative_order_rejected(self, kernel_w2, dx, dy, name):
+        with pytest.raises(ValueError, match=f"derivative order {name} must be an integer"):
+            rk.kernel_matrix(kernel_w2, [0.3], [0.5], dx, dy)
+        with pytest.raises(ValueError, match=f"derivative order {name}"):
+            kernel_w2.eval(0.3, 0.5, dx, dy)
+
+    def test_orders_beyond_piece_degree_are_exact_zeros(self, kernel_w2):
+        # W_2's pieces are quintics in x and in y
+        xs, ys = np.linspace(0.0, 1.0, 11), [0.2, 0.5, 0.9]
+        for dx, dy in ((6, 0), (0, 6), (0, 7), (1, 9), (7, 7)):
+            assert np.array_equal(rk.kernel_matrix(kernel_w2, xs, ys, dx, dy), np.zeros((11, 3)))
+
 
 class TestBatchedPieces:
     SPACES = [W2_SPEC, dataclasses.replace(W2_SPEC, interval=(100.0, 101.0)),

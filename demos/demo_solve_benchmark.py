@@ -46,9 +46,8 @@ def main():
     # The achieved objective value: tracking error plus control effort.
     grid = rk.SpaceTimeGrid(n_x=99, n_t=99, interval=problem.interval,
                             horizon=problem.T)
-    X, T = np.meshgrid(grid.xs, grid.ts)
     Y, _, U = sol.evaluate_grid(grid.xs, grid.ts)
-    j = rk.cost_functional(rk.GridField(grid, Y), rk.GridField(grid, U), problem)
+    j = rk.cost_functional(Y, U, grid.xs, grid.ts, problem)
     print(f"\nObjective value J(y, u) = {j:.4e}")
 
 

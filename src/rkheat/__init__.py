@@ -16,7 +16,7 @@ from .collocation import (ADJOINT, FORWARD, CollocationSystem, NodeSet,
                           PicardInfo, Solution, assemble, error_norms,
                           evaluate, generate_nodes, solve, solve_picard,
                           standard_kernels)
-from .errors import (GridMismatch, KernelDomainMismatch, NonDifferentiableData,
+from .errors import (KernelDomainMismatch, NonDifferentiableData,
                      NumericallySingular, OutOfDomain, RKHeatError,
                      SingularConditionSystem, SingularDiscretization,
                      UnknownExample)
@@ -28,8 +28,8 @@ from .kernels import (Kernel1D, SpaceSpec, TensorKernel, build_kernel,
                       kernel_matrix)
 from .optimality import apply_operator, residual_adjoint, residual_forward
 from .problems import (ControlProblem, ExactSolution, HomogenizedProblem,
-                       builtin_example, check_exact_consistency,
-                       cost_functional, derive_yd, homogenize)
+                       builtin_example, cost_functional, derive_yd,
+                       homogenize)
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     # problems
     "ControlProblem", "ExactSolution", "HomogenizedProblem",
     "builtin_example", "derive_yd", "homogenize", "cost_functional",
-    "check_exact_consistency",
     # optimality system
     "FORWARD", "ADJOINT", "apply_operator", "residual_forward",
     "residual_adjoint",
@@ -55,6 +54,6 @@ __all__ = [
     "self_convergence",
     # errors
     "RKHeatError", "SingularConditionSystem", "OutOfDomain",
-    "UnknownExample", "GridMismatch", "NonDifferentiableData",
+    "UnknownExample", "NonDifferentiableData",
     "KernelDomainMismatch", "NumericallySingular", "SingularDiscretization",
 ]

@@ -30,11 +30,11 @@ import numpy as np
 
 from .collocation import (assemble, error_norms, exact_grid, generate_nodes,
                           grid_error_norms, solve, solve_picard, standard_kernels)
-from .errors import (GridMismatch, KernelDomainMismatch, NonDifferentiableData,
+from .errors import (KernelDomainMismatch, NonDifferentiableData,
                      NumericallySingular, OutOfDomain, SingularConditionSystem,
                      SingularDiscretization, UnknownExample)
 from .fd_reference import error_vs_exact, solve_coupled_fd
-from .grids import GridField, SpaceTimeGrid
+from .grids import SpaceTimeGrid
 from .problems import builtin_example, cost_functional, homogenize
 
 __all__ = ["RunConfig", "main"]
@@ -52,7 +52,7 @@ class UsageError(Exception):
     pass
 
 
-_USAGE_ERRORS = (UsageError, UnknownExample, GridMismatch, OutOfDomain,
+_USAGE_ERRORS = (UsageError, UnknownExample, OutOfDomain,
                  NonDifferentiableData, KernelDomainMismatch, ValueError)
 _NUMERICAL_ERRORS = (NumericallySingular, SingularDiscretization,
                      SingularConditionSystem, np.linalg.LinAlgError)
@@ -159,7 +159,7 @@ def _cost(sol, problem, n: int = 100) -> float:
     grid = SpaceTimeGrid(n_x=n - 1, n_t=n - 1, interval=problem.interval,
                          horizon=problem.T)
     Y, _, U = sol.evaluate_grid(grid.xs, grid.ts)
-    return cost_functional(GridField(grid, Y), GridField(grid, U), problem)
+    return cost_functional(Y, U, grid.xs, grid.ts, problem)
 
 
 def _grid_values(sol, exact, xs, ts):

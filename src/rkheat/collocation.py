@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KernelDomainMismatch, NumericallySingular, OutOfDomain
-from .grids import trapezoid_2d
+from .grids import require_count, trapezoid_2d
 from .kernels import SpaceSpec, TensorKernel, build_kernel, kernel_matrix
 from .problems import ExactSolution, HomogenizedProblem
 
@@ -117,9 +117,8 @@ def generate_nodes(n_x: int, n_t: int, domain) -> NodeSet:
     domain = ((a, b), T).  Points x_i = a + (i - 1/2)(b - a)/n_x and
     t_k = (k - 1/2) T / n_t are strictly interior by construction.
     """
-    for name, count in (("n_x", n_x), ("n_t", n_t)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-            raise ValueError(f"need an integer {name} >= 1, got {count!r}")
+    require_count("n_x", n_x)
+    require_count("n_t", n_t)
     (a, b), T = domain
     xs = a + (np.arange(1, n_x + 1) - 0.5) * (b - a) / n_x
     ts = (np.arange(1, n_t + 1) - 0.5) * T / n_t
@@ -635,13 +634,16 @@ def grid_error_norms(approx, reference, xs, ts) -> dict:
 
 
 def error_norms(sol, exact: ExactSolution, eval_grid=(101, 101)) -> dict:
-    """Error norms of y, p and u on a uniform inclusive evaluation grid.
+    """Error norms of y, p and u on a uniform inclusive evaluation grid of
+    eval_grid = (points in x, points in t), each an integer >= 2.
 
     sol is anything exposing evaluate_grid(xs, ts) -> (y, p, u) and the
     homogenized problem hom, whose rectangle the grid spans; the L2 norm
     uses the trapezoidal rule over it.
     """
     ne_x, ne_t = eval_grid
+    require_count("eval_grid[0]", ne_x, least=2)
+    require_count("eval_grid[1]", ne_t, least=2)
     (a, b), T = sol.hom.base.interval, sol.hom.base.T
     xs = np.linspace(a, b, ne_x)
     ts = np.linspace(0.0, T, ne_t)

@@ -17,10 +17,6 @@ class UnknownExample(RKHeatError):
     """Requested benchmark example id is not one of 1, 2, 3."""
 
 
-class GridMismatch(RKHeatError):
-    """Grid fields passed to an operation do not share the same grid."""
-
-
 class NonDifferentiableData(RKHeatError):
     """User-supplied data lacks the derivatives an operation requires."""
 

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
-
-__all__ = ["SpaceTimeGrid", "GridField", "trapezoid_2d"]
+__all__ = ["SpaceTimeGrid", "GridField", "trapezoid_2d", "require_count"]
 
 
 def trapezoid_2d(values, xs, ts) -> float:
     """Trapezoidal integral of t-major values[j, i] = f(xs[i], ts[j])."""
     return np.trapezoid(np.trapezoid(values, xs, axis=1), ts)
+
+
+def require_count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= least (bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,11 +33,13 @@ class SpaceTimeGrid:
     horizon: float
 
     def __post_init__(self):
-        if self.n_x < 1 or self.n_t < 1:
-            raise ValueError("grid needs at least one interior point per axis")
+        require_count("n_x", self.n_x)
+        require_count("n_t", self.n_t)
         a, b = self.interval
-        if not (a < b and self.horizon > 0):
-            raise ValueError("invalid domain")
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"interval must be finite with a < b, got {self.interval!r}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon!r}")
 
     @property
     def h(self) -> float:
@@ -56,7 +63,7 @@ class SpaceTimeGrid:
 @dataclass
 class GridField:
     """Values of a scalar function on a SpaceTimeGrid, t-major:
-    values[j, i] = f(xs[i], ts[j])."""
+    values[j, i] = f(xs[i], ts[j]); the container of an FD solution."""
 
     grid: SpaceTimeGrid
     values: np.ndarray
@@ -64,8 +71,5 @@ class GridField:
     def __post_init__(self):
         expected = (self.grid.n_t + 2, self.grid.n_x + 2)
         if self.values.shape != expected:
-            raise GridMismatch(
+            raise ValueError(
                 f"values shape {self.values.shape} does not match grid {expected}")
-
-    def same_grid(self, other: "GridField") -> bool:
-        return self.grid == other.grid

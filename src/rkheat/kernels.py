@@ -39,6 +39,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import KernelDomainMismatch, OutOfDomain, SingularConditionSystem
+from .grids import require_count
 
 __all__ = [
     "SpaceSpec",
@@ -55,8 +56,8 @@ class SpaceSpec:
 
     Parameters
     ----------
-    order_m : smoothness index m >= 1.
-    interval : (a, b) with a < b.
+    order_m : integer smoothness index m >= 1.
+    interval : finite (a, b) with a < b.
     constraints : tuple of (endpoint, derivative_order) pairs, endpoint being
         the string "a" or "b", each meaning u^(order)(endpoint) = 0.
     """
@@ -66,11 +67,10 @@ class SpaceSpec:
     constraints: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
+        require_count("order_m", self.order_m)
         a, b = self.interval
-        if self.order_m < 1:
-            raise ValueError("order_m must be a positive integer")
-        if not a < b:
-            raise ValueError("interval must satisfy a < b")
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"interval must be finite with a < b, got {self.interval!r}")
         if len(self.constraints) > 2 * self.order_m + 2:
             raise ValueError("too many constraints for the polynomial degree")
         seen = set()

@@ -13,11 +13,10 @@ target data y_d is re-derived from the pair through the adjoint equation
 y_d = p_t + p_xx + y, so each benchmark is an exactly manufactured problem
 for that pair.
 
-A caveat the diagnostics surface explicitly: the closed-form adjoints of
-benchmarks 1 and 3 do not vanish on the lateral boundary, while any solver
-that enforces the adjoint boundary condition structurally converges to the
-true optimizer of J, which then differs from the closed-form pair by a fixed
-margin.  check_exact_consistency reports the defect instead of hiding it.
+A caveat: the closed-form adjoints of benchmarks 1 and 3 do not vanish on
+the lateral boundary, while any solver that enforces the adjoint boundary
+condition structurally converges to the true optimizer of J, which then
+differs from the closed-form pair by a fixed margin.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, UnknownExample
+from .errors import UnknownExample
 from .fields import ScalarField, fd_derivative_1d, require_differentiable_1d
-from .grids import GridField, trapezoid_2d
+from .grids import trapezoid_2d
 
 __all__ = [
     "ControlProblem",
@@ -40,7 +39,6 @@ __all__ = [
     "builtin_example",
     "derive_yd",
     "cost_functional",
-    "check_exact_consistency",
 ]
 
 
@@ -96,13 +94,13 @@ class ExactSolution:
 class HomogenizedProblem:
     """Zero-data transform of a ControlProblem.
 
-    Y interpolates the boundary traces linearly in x, y_hat shifts the
-    state so the remaining unknown has zero boundary and initial data, and
-    G1 collects the forcing the shift produces.
+    y_hat = Y + y0 - Y(., 0), with Y the linear-in-x interpolant of the
+    boundary traces, matches the boundary and initial data, so the
+    remaining unknown y - y_hat has zero data; G1 collects the forcing the
+    shift produces.
     """
 
     base: ControlProblem
-    Y: object
     y_hat: object
     G1: object
 
@@ -137,7 +135,7 @@ def homogenize(problem: ControlProblem) -> HomogenizedProblem:
         ddy0 = fd_derivative_1d(y0, x, 2, hx)
         return wa(x) * dh1 + wb(x) * dh2 - ddy0
 
-    return HomogenizedProblem(base=problem, Y=Y, y_hat=y_hat, G1=G1)
+    return HomogenizedProblem(base=problem, y_hat=y_hat, G1=G1)
 
 
 def _zero_data_problem(nu, y_d):
@@ -218,44 +216,15 @@ def derive_yd(exact: ExactSolution):
     return y_d
 
 
-def cost_functional(y: GridField, u: GridField, problem: ControlProblem) -> float:
-    """Trapezoidal approximation of J(u) = 1/2 iint (y-y_d)^2 + nu/2 iint u^2."""
-    if not y.same_grid(u):
-        raise GridMismatch("state and control live on different grids")
-    xs, ts = y.grid.xs, y.grid.ts
+def cost_functional(Y, U, xs, ts, problem: ControlProblem) -> float:
+    """Trapezoidal approximation of J(u) = 1/2 iint (y-y_d)^2 + nu/2 iint u^2
+    from t-major samples Y[j, i] = y(xs[i], ts[j]) and U of u alike."""
+    Y, U = np.asarray(Y, dtype=float), np.asarray(U, dtype=float)
+    for name, values in (("Y", Y), ("U", U)):
+        if values.shape != (len(ts), len(xs)):
+            raise ValueError(f"{name} has shape {values.shape}, "
+                             f"need (len(ts), len(xs)) = {(len(ts), len(xs))}")
     X, T = np.meshgrid(xs, ts)
-    track = (y.values - np.asarray(problem.y_d(X, T), dtype=float)) ** 2
-    penal = u.values ** 2
+    track = (Y - np.asarray(problem.y_d(X, T), dtype=float)) ** 2
+    penal = U ** 2
     return 0.5 * trapezoid_2d(track, xs, ts) + 0.5 * problem.nu * trapezoid_2d(penal, xs, ts)
-
-
-def check_exact_consistency(exact: ExactSolution, problem: ControlProblem,
-                            n: int = 30) -> dict:
-    """Diagnostic report on how well the reference pair fits the problem.
-
-    Returns maxima of the forward-equation residual -y_t + y_xx - p/nu on
-    an interior grid, the data mismatch of y on the boundary/initial
-    manifolds, and the adjoint boundary traces |p| at x=a, x=b and t=T.
-    The caller decides what to make of nonzero entries; benchmarks 1 and 3
-    have adjoint traces of size O(nu) on the lateral boundary.
-    """
-    a, b, T = problem.a, problem.b, problem.T
-    xi = np.linspace(a, b, n + 2)[1:-1]
-    ti = np.linspace(0.0, T, n + 2)[1:-1]
-    X, Tt = np.meshgrid(xi, ti)
-    y, p = exact.y_exact, exact.p_exact
-    forward = (-y.partial(X, Tt, 0, 1) + y.partial(X, Tt, 2, 0)
-               - p(X, Tt) / problem.nu)
-    tb = np.linspace(0.0, T, 50)
-    xb = np.linspace(a, b, 50)
-    report = {
-        "forward_residual_max": float(np.abs(forward).max()),
-        "y_boundary_mismatch": float(max(
-            np.abs(y(a, tb) - np.asarray(problem.h1(tb), dtype=float)).max(),
-            np.abs(y(b, tb) - np.asarray(problem.h2(tb), dtype=float)).max(),
-            np.abs(y(xb, 0.0) - np.asarray(problem.y0(xb), dtype=float)).max())),
-        "p_trace_a": float(np.abs(p(a, tb)).max()),
-        "p_trace_b": float(np.abs(p(b, tb)).max()),
-        "p_trace_T": float(np.abs(p(xb, T)).max()),
-    }
-    return report

@@ -707,6 +707,13 @@ class TestErrorNorms:
         assert norms["l2_y"] <= norms["linf_y"] + 1e-15
         assert norms["l2_p"] <= norms["linf_p"] + 1e-15
 
+    @pytest.mark.parametrize("eval_grid,axis", [((1, 1), 0), ((101, 1), 1),
+                                                ((2.5, 3), 0), ((3, True), 1)])
+    def test_fewer_than_two_points_rejected(self, ex1_solution_8, ex1_case,
+                                            eval_grid, axis):
+        with pytest.raises(ValueError, match=rf"need an integer eval_grid\[{axis}\] >= 2"):
+            rk.error_norms(ex1_solution_8[0], ex1_case[1], eval_grid=eval_grid)
+
     def test_linf_y_shrinks_from_8_to_16(self, ex1_case, unit_kernels):
         problem, exact, hom = ex1_case
         values = {}

@@ -22,6 +22,33 @@ def zero_problem(nu=1e-2):
         y0=lambda x: 0.0 * np.asarray(x, dtype=float))
 
 
+class TestSpaceTimeGrid:
+    @pytest.mark.parametrize("n_x,n_t,name", [(2.5, 3, "n_x"), (3, 2.0, "n_t"),
+                                              (True, 3, "n_x"), (0, 3, "n_x"),
+                                              (3, np.int64(0), "n_t")])
+    def test_non_integer_or_small_count_rejected(self, n_x, n_t, name):
+        with pytest.raises(ValueError, match=f"need an integer {name} >= 1"):
+            rk.SpaceTimeGrid(n_x=n_x, n_t=n_t, interval=(0.0, 1.0), horizon=1.0)
+
+    def test_numpy_integer_counts_accepted(self):
+        grid = rk.SpaceTimeGrid(n_x=np.int64(3), n_t=np.int32(2),
+                                interval=(0.0, 1.0), horizon=1.0)
+        assert np.array_equal(grid.xs, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.array_equal(grid.ts, [0.0, 1 / 3, 2 / 3, 1.0])
+
+    @pytest.mark.parametrize("interval,horizon,name", [
+        ((0.0, 1.0), np.inf, "horizon"), ((0.0, 1.0), np.nan, "horizon"),
+        ((-np.inf, 1.0), 1.0, "interval"), ((0.0, np.inf), 1.0, "interval"),
+        ((0.0, np.nan), 1.0, "interval")])
+    def test_nonfinite_domain_named(self, interval, horizon, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            rk.SpaceTimeGrid(n_x=2, n_t=2, interval=interval, horizon=horizon)
+
+    def test_field_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"values shape \(4, 3\) does not match grid \(4, 4\)"):
+            rk.GridField(unit_grid(2), np.zeros((4, 3)))
+
+
 class TestSolveCoupledFD:
     def test_zero_data_exact_zero(self):
         fd = rk.solve_coupled_fd(zero_problem(), unit_grid(12))

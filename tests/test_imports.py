@@ -114,3 +114,12 @@ def test_first_solve_loads_scipy_linalg_only(probes, call):
     assert steps["import"] == steps.get("assemble", NONE_LOADED) == NONE_LOADED
     assert steps["after"] == LINALG_ONLY
     assert math.isfinite(steps["value"])
+
+
+def test_public_names():
+    names = rkheat.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(rkheat, name)
+    for name in ("GridMismatch", "check_exact_consistency"):
+        assert name not in names and not hasattr(rkheat, name)

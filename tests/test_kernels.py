@@ -30,6 +30,23 @@ class TestSpaceSpec:
         with pytest.raises(ValueError):
             rk.SpaceSpec(1, (0.0, 1.0), cs)
 
+    @pytest.mark.parametrize("order_m", [1.5, 0, True, "2"])
+    def test_non_integer_or_small_order_rejected(self, order_m):
+        with pytest.raises(ValueError, match="need an integer order_m >= 1"):
+            rk.SpaceSpec(order_m, (0.0, 1.0), (("a", 0),))
+
+    def test_numpy_integer_order_accepted(self):
+        spec = rk.SpaceSpec(np.int64(2), (0.0, 1.0), W2_SPEC.constraints)
+        x = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(rk.build_kernel(spec).eval(x, x),
+                              rk.build_kernel(W2_SPEC).eval(x, x))
+
+    @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_nonfinite_interval_rejected_before_lapack(self, interval, capfd):
+        with pytest.raises(ValueError, match="^interval must be finite"):
+            rk.build_kernel(rk.SpaceSpec(2, interval, W2_SPEC.constraints))
+        assert capfd.readouterr() == ("", "")
+
 
 class TestKernelValues:
     def test_boundary_constraints_force_zero(self, kernel_w2):

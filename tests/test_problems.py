@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import rkheat as rk
-from oracles import sample_grid
 
 
 def zero_t(t):
@@ -58,7 +57,7 @@ class TestControlProblem:
 class TestHomogenize:
     def test_zero_data(self):
         hom = rk.homogenize(make_problem())
-        for f in (hom.Y, hom.y_hat, hom.G1):
+        for f in (hom.y_hat, hom.G1):
             assert abs(float(np.max(np.abs(f(np.linspace(0, 1, 5),
                                              np.linspace(0, 1, 5)))))) <= 1e-12
 
@@ -68,7 +67,6 @@ class TestHomogenize:
         xs = np.linspace(0.0, 1.0, 7)
         ts = np.linspace(0.0, 1.0, 7)
         X, T = np.meshgrid(xs, ts)
-        assert np.allclose(hom.Y(X, T), (1 - X) * T, atol=1e-12)
         assert np.allclose(hom.y_hat(X, T), (1 - X) * T, atol=1e-12)
         assert np.allclose(hom.G1(X, T), 1 - X, atol=1e-6)
 
@@ -81,7 +79,6 @@ class TestHomogenize:
         xs = np.linspace(0.0, 1.0, 5)
         ts = np.linspace(0.0, 1.0, 5)
         X, T = np.meshgrid(xs, ts)
-        assert np.allclose(hom.Y(X, T), c, atol=1e-12)
         assert np.allclose(hom.y_hat(X, T), c, atol=1e-12)
         assert np.allclose(hom.G1(X, T), 0.0, atol=1e-6)
 
@@ -250,11 +247,23 @@ class TestDeriveYd:
 
 
 class TestConsistencyReport:
+    @staticmethod
+    def report(example_id, n=30):
+        # the forward residual -y_t + y_xx - p/nu on an interior grid, and
+        # the adjoint traces |p| at x=a, x=b and t=T
+        problem, exact = rk.builtin_example(example_id, nu=1e-2)
+        y, p = exact.y_exact, exact.p_exact
+        X, T = np.meshgrid(np.linspace(0.0, 1.0, n + 2)[1:-1],
+                           np.linspace(0.0, 1.0, n + 2)[1:-1])
+        forward = -y.partial(X, T, 0, 1) + y.partial(X, T, 2, 0) - p(X, T) / problem.nu
+        tb = xb = np.linspace(0.0, 1.0, 50)
+        return (float(np.abs(forward).max()), float(np.abs(p(0.0, tb)).max()),
+                float(np.abs(p(1.0, tb)).max()), float(np.abs(p(xb, 1.0)).max()))
+
     def test_example2_fully_consistent(self):
-        problem, exact = rk.builtin_example(2, nu=1e-2)
-        rep = rk.check_exact_consistency(exact, problem)
-        assert rep["forward_residual_max"] <= 1e-9
-        assert max(rep["p_trace_a"], rep["p_trace_b"], rep["p_trace_T"]) <= 1e-12
+        forward, p_a, p_b, p_T = self.report(2)
+        assert forward <= 1e-9
+        assert max(p_a, p_b, p_T) <= 1e-12
 
     @pytest.mark.parametrize("example_id", [1, 3])
     def test_examples_1_3_lateral_adjoint_defect(self, example_id):
@@ -262,38 +271,40 @@ class TestConsistencyReport:
         # lateral boundary; the forward equation still holds exactly in the
         # interior.  The defect scales with nu and caps how closely any
         # solver with an admissible adjoint can match the printed pair.
-        problem, exact = rk.builtin_example(example_id, nu=1e-2)
-        rep = rk.check_exact_consistency(exact, problem)
-        assert rep["forward_residual_max"] <= 1e-9
-        assert max(rep["p_trace_a"], rep["p_trace_b"]) > 1e-6
-        assert rep["p_trace_T"] <= 1e-12
+        forward, p_a, p_b, p_T = self.report(example_id)
+        assert forward <= 1e-9
+        assert max(p_a, p_b) > 1e-6
+        assert p_T <= 1e-12
 
 
 class TestCostFunctional:
-    def grid_fields(self, y_fun, u_fun, n=60):
-        grid = rk.SpaceTimeGrid(n_x=n, n_t=n, interval=(0.0, 1.0), horizon=1.0)
-        return (sample_grid(grid, y_fun), sample_grid(grid, u_fun))
+    def samples(self, y_fun, u_fun, n=60):
+        xs = ts = np.linspace(0.0, 1.0, n + 2)
+        X, T = np.meshgrid(xs, ts)
+        return y_fun(X, T), u_fun(X, T), xs, ts
 
     def test_perfect_tracking(self):
         prob = make_problem()
-        y, u = self.grid_fields(lambda x, t: 0.0 * x * t, lambda x, t: 0.0 * x * t)
-        assert rk.cost_functional(y, u, prob) == pytest.approx(0.0, abs=1e-15)
+        Y, U, xs, ts = self.samples(lambda x, t: 0.0 * x * t, lambda x, t: 0.0 * x * t)
+        assert rk.cost_functional(Y, U, xs, ts, prob) == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_offset(self):
         prob = make_problem()
-        y, u = self.grid_fields(lambda x, t: 1.0 + 0.0 * x * t,
-                                lambda x, t: 0.0 * x * t)
-        assert rk.cost_functional(y, u, prob) == pytest.approx(0.5, rel=1e-12)
+        Y, U, xs, ts = self.samples(lambda x, t: 1.0 + 0.0 * x * t,
+                                    lambda x, t: 0.0 * x * t)
+        assert rk.cost_functional(Y, U, xs, ts, prob) == pytest.approx(0.5, rel=1e-12)
 
     def test_constant_control(self):
         prob = make_problem(nu=0.5)
-        y, u = self.grid_fields(lambda x, t: 0.0 * x * t,
-                                lambda x, t: 2.0 + 0.0 * x * t)
-        assert rk.cost_functional(y, u, prob) == pytest.approx(1.0, rel=1e-12)
+        Y, U, xs, ts = self.samples(lambda x, t: 0.0 * x * t,
+                                    lambda x, t: 2.0 + 0.0 * x * t)
+        assert rk.cost_functional(Y, U, xs, ts, prob) == pytest.approx(1.0, rel=1e-12)
 
     def test_grid_mismatch(self):
         prob = make_problem()
-        y, _ = self.grid_fields(lambda x, t: 0.0 * x * t, lambda x, t: 0.0 * x * t, n=30)
-        _, u = self.grid_fields(lambda x, t: 0.0 * x * t, lambda x, t: 0.0 * x * t, n=40)
-        with pytest.raises(rk.GridMismatch):
-            rk.cost_functional(y, u, prob)
+        Y, U, xs, ts = self.samples(lambda x, t: 0.0 * x * t, lambda x, t: 0.0 * x * t)
+        with pytest.raises(ValueError, match=r"^U has shape \(62, 61\)"):
+            rk.cost_functional(Y, U[:, 1:], xs, ts, prob)
+        # x-major samples of a non-square grid are the transpose of t-major
+        with pytest.raises(ValueError, match=r"^Y has shape \(61, 62\), need .* \(62, 61\)"):
+            rk.cost_functional(Y[:, 1:].T, U[:, 1:], xs[1:], ts, prob)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import collocation
 from .collocation import (assemble, error_norms, exact_grid, generate_nodes,
                           grid_error_norms, solve, solve_picard, standard_kernels)
 from .errors import (KernelDomainMismatch, NonDifferentiableData,
@@ -131,6 +132,20 @@ def _resolve_config(args) -> RunConfig:
                         if getattr(args, f.name) is not None})
 
 
+# Peak bytes per grid point of a whole run (tracemalloc): solve ~160 per
+# --eval-grid point (98.0 MB at 801^2; convergence, crosscheck ~96), and
+# crosscheck ~377 per --oracle-grid point (94.3 MB at 512^2); plus 25%.
+def _check_grid_memory(eval_grid, oracle_grid) -> None:
+    """Refuse a grid whose run would not fit in physical memory."""
+    budget = collocation._physical_memory()
+    for flag, per_point, (n_x, n_t) in (("--eval-grid", 200, eval_grid),
+                                        ("--oracle-grid", 480, oracle_grid)):
+        estimate = per_point * n_x * n_t
+        if budget is not None and estimate > budget:
+            raise ValueError(f"{flag} {n_x}x{n_t} needs an estimated {estimate / 2**20:.0f} "
+                             f"MB, more than the {budget / 2**20:.0f} MB of physical memory")
+
+
 # -- pipeline pieces -----------------------------------------------------
 
 
@@ -153,18 +168,6 @@ def _heldout_residuals(sol, problem, n_x: int, n_t: int) -> dict:
     forward, adjoint = sol.residuals(grid.ux, grid.ut)
     return {"forward_max": float(np.abs(forward).max()),
             "adjoint_max": float(np.abs(adjoint).max())}
-
-
-def _cost(sol, problem, n: int = 100) -> float:
-    grid = SpaceTimeGrid(n_x=n - 1, n_t=n - 1, interval=problem.interval,
-                         horizon=problem.T)
-    Y, _, U = sol.evaluate_grid(grid.xs, grid.ts)
-    return cost_functional(Y, U, grid.xs, grid.ts, problem)
-
-
-def _grid_values(sol, exact, xs, ts):
-    """(Y, P, U) of the solution and of the closed forms on the grid."""
-    return sol.evaluate_grid(xs, ts), exact_grid(exact, xs, ts)
 
 
 def _solution_rows(xs, ts, approx, reference):
@@ -191,16 +194,15 @@ def _emit_report(report: dict, path: str) -> None:
 # -- subcommands ---------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
-    cfg = _resolve_config(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+def cmd_solve(args, cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     problem, exact, sol = _run_pipeline(cfg)
 
     ne_x, ne_t = cfg.eval_grid
     xs = np.linspace(problem.a, problem.b, ne_x)
     ts = np.linspace(0.0, problem.T, ne_t)
-    values = _grid_values(sol, exact, xs, ts)
+    values = sol.evaluate_grid(xs, ts), exact_grid(exact, xs, ts)
+    (Y, _, U), _ = values
     norms = grid_error_norms(*values, xs, ts)
     _write_csv(os.path.join(cfg.output_dir, "solution.csv"),
                SOLUTION_HEADER, _solution_rows(xs, ts, *values))
@@ -208,7 +210,8 @@ def cmd_solve(args) -> int:
     slice_ts = np.asarray(PROSE_SLICE_TIMES if cfg.slice_times == "prose"
                           else CAPTION_SLICE_TIMES) * problem.T
     _write_csv(os.path.join(cfg.output_dir, "slices.csv"), SOLUTION_HEADER,
-               _solution_rows(xs, slice_ts, *_grid_values(sol, exact, xs, slice_ts)))
+               _solution_rows(xs, slice_ts, sol.evaluate_grid(xs, slice_ts),
+                              exact_grid(exact, xs, slice_ts)))
 
     report = {
         "config": dataclasses.asdict(cfg),
@@ -216,7 +219,7 @@ def cmd_solve(args) -> int:
         "cond": sol.info.get("cond"),
         "solver": sol.info.get("solver"),
         "residuals": _heldout_residuals(sol, problem, cfg.n_x, cfg.n_t),
-        "j_cost": _cost(sol, problem),
+        "j_cost": cost_functional(Y, U, xs, ts, problem),
         "seconds": time.perf_counter() - t0,
     }
     if "picard" in sol.info:
@@ -225,10 +228,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_convergence(args) -> int:
-    cfg = _resolve_config(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-
+def cmd_convergence(args, cfg: RunConfig) -> int:
     rows = []
     prev_l2 = None
     violations = []
@@ -258,10 +258,7 @@ def cmd_convergence(args) -> int:
     return 0
 
 
-def cmd_crosscheck(args) -> int:
-    cfg = _resolve_config(args)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-
+def cmd_crosscheck(args, cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     problem, exact, sol = _run_pipeline(cfg)
     n_x, n_t = args.oracle_grid
@@ -361,7 +358,10 @@ def main(argv=None) -> int:
                 args = parser.parse_args(argv[:1] + tokens + argv[1:])
             except UsageError as exc:
                 raise UsageError(f"{args.config}: {exc}") from exc
-        return args.func(args)
+        cfg = _resolve_config(args)
+        _check_grid_memory(cfg.eval_grid, getattr(args, "oracle_grid", (0, 0)))
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        return args.func(args, cfg)
     except _USAGE_ERRORS as exc:
         return _fail(2, exc)
     except _NUMERICAL_ERRORS as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularDiscretization
-from .grids import GridField, SpaceTimeGrid, trapezoid_2d
+from .grids import GridField, SpaceTimeGrid, require_count, trapezoid_2d
 from .problems import ControlProblem, ExactSolution
 
 __all__ = [
@@ -186,8 +186,7 @@ def self_convergence(problem: ControlProblem, n_base: int = 16) -> dict:
     at those shared points, and estimates the order from the ratio of
     successive differences.
     """
-    if n_base < 2:
-        raise ValueError(f"n_base must be at least 2, got {n_base}")
+    require_count("n_base", n_base, least=2)
     samples = []
     for n in (n_base, 2 * n_base, 4 * n_base):
         grid = SpaceTimeGrid(n_x=n - 1, n_t=n - 1, interval=problem.interval,

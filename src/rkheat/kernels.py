@@ -249,8 +249,8 @@ class Kernel1D:
 def build_kernel(spec: SpaceSpec) -> Kernel1D:
     """Construct the reproducing kernel of the given space.
 
-    Probes the condition system at a few interior points so that an
-    ill-posed constraint set fails fast.
+    Runs a rank test only: the condition system at three interior probes,
+    so an ill-posed constraint set fails fast (full rank bounds its inverse).
     """
     kernel = Kernel1D(spec)
     a, b = spec.interval
@@ -261,7 +261,6 @@ def build_kernel(spec: SpaceSpec) -> Kernel1D:
         raise SingularConditionSystem(
             "constraint set leads to a rank-deficient condition system "
             f"(probe at y={probes[deficient[0]]})")
-    kernel.pieces(probes)
     return kernel
 
 

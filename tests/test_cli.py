@@ -12,7 +12,7 @@ import rkheat.cli as cli
 import rkheat.collocation as collocation
 from oracles import write_csv_reference
 from rkheat.errors import NumericallySingular
-from rkheat.problems import builtin_example
+from rkheat.problems import builtin_example, cost_functional
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SOLVE_ARGS = ["solve", "--example", "1", "--nu", "1e-2", "--nx", "4", "--nt", "4",
@@ -45,6 +45,30 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         _, exact, sol = cli._run_pipeline(cli.RunConfig(n_x=4, n_t=4, eval_grid=(21, 21)))
         assert report["norms"] == collocation.error_norms(sol, exact, eval_grid=(21, 21))
+
+    def test_cost_from_solution_csv(self, tmp_path, capsys):
+        # j_cost is J on the evaluation grid, from the samples solution.csv holds
+        cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
+        report = json.loads(capsys.readouterr().out)
+        rows = read_csv(tmp_path / "solution.csv")
+        xs = np.array([float(r["x"]) for r in rows[:21]])
+        ts = np.array([float(r["t"]) for r in rows[::21]])
+        Y, U = (np.array([float(r[k]) for r in rows]).reshape(21, 21)
+                for k in ("y_approx", "u_approx"))
+        problem, _ = builtin_example(1, nu=1e-2)
+        assert report["j_cost"] == cost_functional(Y, U, xs, ts, problem)
+
+    def test_grid_evaluated_once_per_file(self, tmp_path, monkeypatch):
+        calls = []
+        evaluate_grid = collocation.Solution.evaluate_grid
+
+        def counting(sol, xs, ts):
+            calls.append(len(ts))
+            return evaluate_grid(sol, xs, ts)
+
+        monkeypatch.setattr(collocation.Solution, "evaluate_grid", counting)
+        assert cli.main(SOLVE_ARGS + ["--out", str(tmp_path)]) == 0
+        assert calls == [21, len(cli.PROSE_SLICE_TIMES)]
 
     def test_solution_header_and_order(self, tmp_path):
         cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
@@ -259,14 +283,38 @@ class TestFailureModes:
         assert err["reason"] == "nu = 1e-309 is too small: -1/nu overflows"
 
     def test_size_over_physical_memory_refused(self, tmp_path, capsys, monkeypatch):
-        # 4x4 nodes: 1.5 * 32^2 * 8 B = 12 KB estimated against an 8 KB budget
+        # 4x4 nodes: 1.5 * 32^2 * 8 B = 12 KB estimated against an 8 KB
+        # budget; the 2x2 evaluation grid, 800 B estimated, fits
         monkeypatch.setattr(collocation, "_physical_memory", lambda: 2 ** 13)
-        rc = cli.main(SOLVE_ARGS + ["--out", str(tmp_path)])
+        rc = cli.main(SOLVE_ARGS + ["--eval-grid", "2x2", "--out", str(tmp_path)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
         assert "16 nodes need an estimated" in err["reason"]
         assert not (tmp_path / "solution.csv").exists()
+
+    @pytest.mark.parametrize("argv, reason", [
+        (SOLVE_ARGS + ["--eval-grid", "101x101"], "--eval-grid 101x101 needs an estimated 2 MB"),
+        (["convergence", "--eval-grid", "101x101"], "--eval-grid 101x101 needs an estimated 2 MB"),
+        (["crosscheck", "--eval-grid", "2x2", "--oracle-grid", "64x64"],
+         "--oracle-grid 64x64 needs an estimated 2 MB"),
+    ], ids=["solve", "convergence", "crosscheck"])
+    def test_grid_over_physical_memory_refused(self, tmp_path, capsys, monkeypatch, argv,
+                                               reason):
+        # refused before anything is solved or written: 200 B per evaluation
+        # and 480 B per oracle grid point against a 1 MB budget
+        monkeypatch.setattr(collocation, "_physical_memory", lambda: 2 ** 20)
+        monkeypatch.setattr(cli, "assemble", lambda *args: pytest.fail("assembled"))
+        out = tmp_path / "out"
+        rc = cli.main(argv + ["--out", str(out)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["reason"].startswith(reason)
+        assert err["reason"].endswith("more than the 1 MB of physical memory")
+        assert not out.exists()
 
 
 class TestConvergenceCommand:

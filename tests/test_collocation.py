@@ -429,11 +429,11 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["direct", "picard"])
     @pytest.mark.parametrize("layout", ["grid", "jittered"])
-    def test_pieces_solved_once_per_kernel(self, layout, mode, ex1_case, unit_kernels,
-                                           monkeypatch):
-        # state and adjoint share the spatial kernel and the coordinates,
-        # and the solution evaluates through the system's trial spaces:
-        # one spatial and two temporal solves, none after assembly
+    def test_pieces_solved_once_per_kernel(self, layout, mode, ex1_case, monkeypatch):
+        # building a kernel only tests its rank; state and adjoint share the
+        # spatial kernel and the coordinates, and the solution evaluates
+        # through the system's trial spaces: one spatial and two temporal
+        # solves, none after assembly
         _, _, hom = ex1_case
         calls = []
         pieces = rk.Kernel1D.pieces
@@ -443,8 +443,9 @@ class TestSolve:
             return pieces(kernel, ys, max_dy)
 
         monkeypatch.setattr(rk.Kernel1D, "pieces", counting)
-        system = rk.assemble(hom, node_layout(layout, 6), unit_kernels)
-        K1, K2 = unit_kernels
+        K1, K2 = rk.standard_kernels((0.0, 1.0), 1.0)
+        assert calls == []
+        system = rk.assemble(hom, node_layout(layout, 6), (K1, K2))
         assert calls == [K1.spatial, K1.temporal, K2.temporal]
         sol = rk.solve(system) if mode == "direct" else rk.solve_picard(system)[0]
         rk.evaluate(sol, 0.3, 0.7)

@@ -229,5 +229,17 @@ class TestSelfConvergence:
 
     def test_single_interval_base_rejected(self):
         problem, _ = rk.builtin_example(1, nu=1e-2)
-        with pytest.raises(ValueError, match="n_base must be at least 2, got 1"):
+        with pytest.raises(ValueError, match="need an integer n_base >= 2, got 1"):
             rk.self_convergence(problem, n_base=1)
+
+    @pytest.mark.parametrize("n_base", [2.5, True])
+    def test_non_integer_base_rejected(self, n_base):
+        # named as n_base, not as the internal grid count it would become
+        problem, _ = rk.builtin_example(1, nu=1e-2)
+        with pytest.raises(ValueError, match=f"need an integer n_base >= 2, got {n_base!r}"):
+            rk.self_convergence(problem, n_base=n_base)
+
+    def test_numpy_integer_base_accepted(self):
+        problem, _ = rk.builtin_example(1, nu=1e-2)
+        assert rk.self_convergence(problem, n_base=np.int64(16)) == \
+            rk.self_convergence(problem, n_base=16)
